@@ -39,6 +39,7 @@ use forhdc_core::{System, SystemConfig};
 use forhdc_host::BufferCache;
 use forhdc_runner::point_seed;
 use forhdc_sim::{LogicalBlock, PhysBlock, ReadWrite};
+use forhdc_trace::outln;
 use forhdc_workload::SyntheticWorkload;
 
 /// One bench result: best-of-R mean nanoseconds per operation.
@@ -75,7 +76,7 @@ impl Harness {
             let ns = t.elapsed().as_nanos() as f64 / batch as f64;
             best = best.min(ns);
         }
-        println!("{name:<40} {best:>12.1} ns/op  ({batch} ops, shards 1)");
+        outln!("{name:<40} {best:>12.1} ns/op  ({batch} ops, shards 1)");
         self.results.push(BenchResult {
             name,
             ns_per_op: best,
@@ -184,7 +185,7 @@ fn bench_system(
         std::hint::black_box(r.io_time);
         best = best.min(t.elapsed().as_nanos() as f64 / requests as f64);
     }
-    println!("{name:<40} {best:>12.1} ns/req  ({requests} reqs, shards {shards})");
+    outln!("{name:<40} {best:>12.1} ns/req  ({requests} reqs, shards {shards})");
     h.results.push(BenchResult {
         name,
         ns_per_op: best,
@@ -363,7 +364,7 @@ fn main() -> ExitCode {
                 };
             }
             "-h" | "--help" => {
-                println!("{USAGE}");
+                outln!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other => return usage_err(&format!("unknown argument '{other}'")),
@@ -414,11 +415,11 @@ fn main() -> ExitCode {
 
     let mut regressed = Vec::new();
     if let Some(base) = &baseline {
-        println!("\nspeedup vs baseline:");
+        outln!("\nspeedup vs baseline:");
         for r in &h.results {
             if let Some((_, base_ns)) = base.iter().find(|(n, _)| n == r.name) {
                 let speedup = base_ns / r.ns_per_op;
-                println!("{:<40} {speedup:>11.2}x", r.name);
+                outln!("{:<40} {speedup:>11.2}x", r.name);
                 if fail_below.is_some_and(|min| speedup < min) {
                     regressed.push((r.name, speedup));
                 }
@@ -462,7 +463,7 @@ fn cmp_main(args: &[String]) -> ExitCode {
                 };
             }
             "-h" | "--help" => {
-                println!("{USAGE}");
+                outln!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             _ => paths.push(&args[i]),
@@ -496,7 +497,7 @@ fn cmp_main(args: &[String]) -> ExitCode {
             continue;
         };
         let speedup = old_ns / new_ns;
-        println!("{name}\t{old_ns:.1}\t{new_ns:.1}\t{speedup:.2}");
+        outln!("{name}\t{old_ns:.1}\t{new_ns:.1}\t{speedup:.2}");
         if fail_below.is_some_and(|min| speedup < min) {
             regressed = true;
             eprintln!("error: {name} speedup {speedup:.2}x below the floor");

@@ -48,6 +48,7 @@ use std::process::ExitCode;
 
 use forhdc_bench::{experiments, RunOptions};
 use forhdc_runner::{ExperimentStats, PhaseTimings, RunManifest, Runner};
+use forhdc_trace::outln;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -121,12 +122,12 @@ fn main() -> ExitCode {
             }
             "--list" => {
                 for id in experiments::ALL {
-                    println!("{id}");
+                    outln!("{id}");
                 }
                 return ExitCode::SUCCESS;
             }
             "-h" | "--help" => {
-                println!("{}", usage_text());
+                outln!("{}", usage_text());
                 return ExitCode::SUCCESS;
             }
             other => targets.push(other.to_string()),
@@ -166,13 +167,13 @@ fn main() -> ExitCode {
     if opts.trace_dir.is_some() && use_cache {
         // A cache hit skips the job closure entirely, so its trace file
         // would never be written; tracing therefore runs every job.
-        println!("note: --trace disables the result cache for this run");
+        outln!("note: --trace disables the result cache for this run");
         use_cache = false;
     }
     if opts.check && use_cache {
         // Same reasoning: a cache hit would skip the audited run, so
         // checked mode re-executes every job.
-        println!("note: --check disables the result cache for this run");
+        outln!("note: --check disables the result cache for this run");
         use_cache = false;
     }
     let cache_dir = use_cache.then(|| out_dir.join(".cache"));
@@ -220,9 +221,9 @@ fn main() -> ExitCode {
         let sim_wall = sim_started.elapsed();
         let emit_started = std::time::Instant::now();
         if let Some(table) = &table {
-            println!("{table}");
+            outln!("{table}");
         }
-        println!(
+        outln!(
             "({} finished in {:.1}s)\n",
             id,
             started.elapsed().as_secs_f64()
@@ -261,7 +262,7 @@ fn main() -> ExitCode {
         );
     }
     if timings {
-        println!("{}", manifest.timings_table());
+        outln!("{}", manifest.timings_table());
     }
     let manifest_path = out_dir.join("manifest.json");
     if let Err(e) = manifest.write(&manifest_path) {
@@ -307,7 +308,7 @@ fn fuzz_main(args: &[String]) -> ExitCode {
                 };
             }
             "-h" | "--help" => {
-                println!("{}", usage_text());
+                outln!("{}", usage_text());
                 return ExitCode::SUCCESS;
             }
             other => return usage_err(&format!("unknown fuzz argument '{other}'")),
@@ -318,7 +319,7 @@ fn fuzz_main(args: &[String]) -> ExitCode {
     match forhdc_bench::fuzz::fuzz(iters, seed, &repro_dir) {
         Ok(outcome) => match outcome.failure {
             None => {
-                println!("fuzz: {iters} iteration(s) clean (seed {seed})");
+                outln!("fuzz: {iters} iteration(s) clean (seed {seed})");
                 ExitCode::SUCCESS
             }
             Some((_, err, path)) => {
@@ -350,7 +351,7 @@ fn replay_main(args: &[String]) -> ExitCode {
                     ExitCode::from(2)
                 }
                 Ok(Err(err)) => {
-                    println!("reproduced:\n{err}");
+                    outln!("reproduced:\n{err}");
                     ExitCode::SUCCESS
                 }
                 Ok(Ok(())) => {

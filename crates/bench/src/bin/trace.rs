@@ -18,7 +18,9 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use forhdc_bench::tracefs;
-use forhdc_trace::{parse_jsonl, slowest_requests, utilization_timeline, TraceEvent, TraceSummary};
+use forhdc_trace::{
+    outln, parse_jsonl, slowest_requests, utilization_timeline, TraceEvent, TraceSummary,
+};
 
 /// Timeline width: one column per sampler bucket, capped to fit a
 /// terminal next to the disk label.
@@ -39,7 +41,7 @@ fn main() -> ExitCode {
                 };
             }
             "-h" | "--help" => {
-                println!("{}", usage_text());
+                outln!("{}", usage_text());
                 return ExitCode::SUCCESS;
             }
             other if dir.is_none() => dir = Some(other.to_string()),
@@ -78,7 +80,7 @@ fn report(dir: &Path, top: usize) -> Result<(), String> {
             .unwrap_or_default();
         points.push((stem, events));
     }
-    println!(
+    outln!(
         "trace: {} ({} files, {} events, {} requests)\n",
         dir.display(),
         points.len(),
@@ -86,13 +88,18 @@ fn report(dir: &Path, top: usize) -> Result<(), String> {
         merged.requests
     );
 
-    println!("phase latency percentiles (ms)");
-    println!(
+    outln!("phase latency percentiles (ms)");
+    outln!(
         "  {:<12} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "phase", "count", "p50", "p95", "p99", "max"
+        "phase",
+        "count",
+        "p50",
+        "p95",
+        "p99",
+        "max"
     );
     for p in merged.phase_percentiles() {
-        println!(
+        outln!(
             "  {:<12} {:>10} {:>10} {:>10} {:>10} {:>10}",
             p.phase,
             p.count,
@@ -114,7 +121,7 @@ fn report(dir: &Path, top: usize) -> Result<(), String> {
     };
     let timeline = utilization_timeline(&best.1, TIMELINE_COLS);
     if timeline.is_empty() {
-        println!("\nno sampler events (trace written without sampling?)");
+        outln!("\nno sampler events (trace written without sampling?)");
     } else {
         // Per-disk injected-fault tallies (power losses are array-wide,
         // not chargeable to one disk, so they are excluded here).
@@ -126,13 +133,13 @@ fn report(dir: &Path, top: usize) -> Result<(), String> {
                 }
             }
         }
-        println!("\ndisk utilization timeline ({}, 0–100%)", best.0);
+        outln!("\ndisk utilization timeline ({}, 0–100%)", best.0);
         for (disk, series) in timeline {
             let bars: String = series.iter().map(|&pm| bar(pm)).collect();
             let mean: u64 =
                 series.iter().map(|&v| v as u64).sum::<u64>() / series.len().max(1) as u64;
             let faults = disk_faults.get(&disk).copied().unwrap_or(0);
-            println!(
+            outln!(
                 "  disk {disk:>2} |{bars}| mean {:>3}%  faults {faults:>4}",
                 mean / 10
             );
@@ -154,16 +161,16 @@ fn report(dir: &Path, top: usize) -> Result<(), String> {
                 .then(a.1.req.cmp(&b.1.req))
         });
         spans.truncate(top);
-        println!("\nslowest {} requests", spans.len());
+        outln!("\nslowest {} requests", spans.len());
         for (stem, span) in &spans {
-            println!(
+            outln!(
                 "  {stem} req {:<6} response {:>9}  (issued at {})",
                 span.req,
                 ms(span.response_ns),
                 ms(span.issued_ns)
             );
             for ev in &span.events {
-                println!("    {}", describe(ev));
+                outln!("    {}", describe(ev));
             }
         }
     }

@@ -120,6 +120,22 @@ mod cli {
         assert_eq!(ids, forhdc_bench::experiments::ALL);
     }
 
+    /// `--list` into a reader that has already gone away (as in
+    /// `repro --list | head`) is a clean exit, not a broken-pipe panic.
+    #[test]
+    fn list_into_a_closed_pipe_exits_cleanly() {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = repro()
+            .arg("--list")
+            .stdout(writer)
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "exit {:?}: {stderr}", out.status);
+        assert!(stderr.is_empty(), "{stderr}");
+    }
+
     /// `-h`/`--help` succeed and print usage on stdout, not stderr.
     #[test]
     fn help_goes_to_stdout_and_succeeds() {

@@ -90,7 +90,7 @@ use forhdc_serve::protocol::{
     parse_error, read_response, write_request, ErrorCode, Request, MAX_READ_BLOCKS, ST_ERR, ST_OK,
     ST_SHUTTING_DOWN,
 };
-use forhdc_trace::{PowerHistogram, Quantiles};
+use forhdc_trace::{out, outln, PowerHistogram, Quantiles};
 use forhdc_workload::ZipfSampler;
 
 struct Args {
@@ -289,11 +289,13 @@ fn sweep(args: &Args) -> Result<(), String> {
     let perm = Arc::new(rank_to_file(meta.files, meta.seed));
     let zipf = Arc::new(ZipfSampler::new(meta.files as usize, alpha));
 
-    println!(
+    outln!(
         "loadgen: {} files x {} blocks, alpha={alpha}, seed={seed}, {} requests/level",
-        meta.files, meta.file_blocks, requests
+        meta.files,
+        meta.file_blocks,
+        requests
     );
-    print!(
+    out!(
         "{:>5} {:>9} {:>9} {:>6} {:>6} {:>6} {:>6} {:>6} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "conc",
         "requests",
@@ -313,9 +315,9 @@ fn sweep(args: &Args) -> Result<(), String> {
         "meanms"
     );
     if scrape {
-        print!(" {:>9} {:>9}", "srv_p50ms", "srv_p99ms");
+        out!(" {:>9} {:>9}", "srv_p50ms", "srv_p99ms");
     }
-    println!();
+    outln!();
     let mut results = Vec::new();
     let mut digest_all = 0u64;
     let mut totals = Outcomes::default();
@@ -337,7 +339,7 @@ fn sweep(args: &Args) -> Result<(), String> {
         }
         digest_all ^= r.digest;
         totals.merge(&r.outcomes);
-        print!(
+        out!(
             "{:>5} {:>9} {:>9} {:>6} {:>6} {:>6} {:>6} {:>6} {:>8.2} {:>9.0} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",
             r.conc,
             r.requests,
@@ -357,13 +359,13 @@ fn sweep(args: &Args) -> Result<(), String> {
             ms(r.latency.mean_ns),
         );
         if let Some(srv) = &r.server {
-            print!(" {:>9.2} {:>9.2}", ms(srv.p50_ns), ms(srv.p99_ns));
+            out!(" {:>9.2} {:>9.2}", ms(srv.p50_ns), ms(srv.p99_ns));
         }
-        println!();
+        outln!();
         results.push(r);
     }
-    println!("schedule digest: 0x{digest_all:016x}");
-    println!(
+    outln!("schedule digest: 0x{digest_all:016x}");
+    outln!(
         "conservation: issued={} ok={} errors={} balanced={}",
         totals.issued(),
         totals.ok,
@@ -956,7 +958,7 @@ fn chaos(args: &Args) -> Result<(), String> {
     let port = wait_port_file(&port_file, Duration::from_secs(10))?;
     let addr = format!("127.0.0.1:{port}");
     wait_ping(&addr, Duration::from_secs(10))?;
-    println!("chaos: life 1 up on {addr}");
+    outln!("chaos: life 1 up on {addr}");
 
     let meta = fetch_meta(&addr)?;
     if meta.file_blocks > MAX_READ_BLOCKS {
@@ -976,7 +978,7 @@ fn chaos(args: &Args) -> Result<(), String> {
         &addr, &meta, &perm, &zipf, conc, requests, seed, false, policy,
     )?;
     let rps_pre = a.requests as f64 / a.secs;
-    println!(
+    outln!(
         "chaos: phase A (baseline)   {} in {:.2}s, rps={rps_pre:.0}",
         a.outcomes.summary(),
         a.secs
@@ -1007,7 +1009,7 @@ fn chaos(args: &Args) -> Result<(), String> {
     };
     thread::sleep(kill_after);
     srv.kill();
-    println!(
+    outln!(
         "chaos: SIGKILL after {:.2}s, restarting on port {port}",
         kill_after.as_secs_f64()
     );
@@ -1015,11 +1017,11 @@ fn chaos(args: &Args) -> Result<(), String> {
     let mut srv = spawn_server(&cfg, port, &port_file)?;
     wait_ping(&addr, Duration::from_secs(15))?;
     let restart_secs = restart_t0.elapsed().as_secs_f64();
-    println!("chaos: life 2 up on {addr} after {restart_secs:.2}s");
+    outln!("chaos: life 2 up on {addr} after {restart_secs:.2}s");
     let b = b_handle
         .join()
         .map_err(|_| "phase B thread panicked".to_string())??;
-    println!(
+    outln!(
         "chaos: phase B (kill mid-sweep) {} in {:.2}s",
         b.outcomes.summary(),
         b.secs
@@ -1055,14 +1057,14 @@ fn chaos(args: &Args) -> Result<(), String> {
                 "probe media: want OK via mirror failover, got status {st} code {code:?} ({msg})"
             ));
         }
-        println!("chaos: probe media    -> OK (served from the mirror)");
+        outln!("chaos: probe media    -> OK (served from the mirror)");
     } else {
         let msg = expect_err(
             "media",
             probe_read(&addr, plant_file, meta.file_blocks)?,
             ErrorCode::MediaError,
         )?;
-        println!("chaos: probe media    -> ERR media ({msg})");
+        outln!("chaos: probe media    -> ERR media ({msg})");
         probed.push("media");
     }
 
@@ -1104,7 +1106,7 @@ fn chaos(args: &Args) -> Result<(), String> {
         }
         thread::sleep(Duration::from_millis(50));
     }
-    println!("chaos: probe offline  -> ERR offline ({msg}), cleared -> OK");
+    outln!("chaos: probe offline  -> ERR offline ({msg}), cleared -> OK");
     probed.push("offline");
 
     // Timeout: stall every disk past the deadline; the read waits the
@@ -1130,7 +1132,7 @@ fn chaos(args: &Args) -> Result<(), String> {
                 "fault stall clear",
             )?;
         }
-        println!("chaos: probe timeout  -> ERR timeout ({msg})");
+        outln!("chaos: probe timeout  -> ERR timeout ({msg})");
         probed.push("timeout");
     }
 
@@ -1171,7 +1173,7 @@ fn chaos(args: &Args) -> Result<(), String> {
                 "fault stall clear",
             )?;
         }
-        println!("chaos: probe overload -> ERR overload ({msg})");
+        outln!("chaos: probe overload -> ERR overload ({msg})");
         probed.push("overload");
     }
 
@@ -1203,7 +1205,7 @@ fn chaos(args: &Args) -> Result<(), String> {
             policy,
         )?;
         let rps_degraded = m.requests as f64 / m.secs;
-        println!(
+        outln!(
             "chaos: phase M (degraded)   {} in {:.2}s, rps={rps_degraded:.0}",
             m.outcomes.summary(),
             m.secs
@@ -1262,7 +1264,7 @@ fn chaos(args: &Args) -> Result<(), String> {
         if rebuilt == 0 {
             return Err("forhdc_rebuild_blocks_total is zero after a completed rebuild".into());
         }
-        println!(
+        outln!(
             "chaos: probe mirror   -> replica {member} offline invisibly ({failovers} \
              failovers), rebuilt {rebuilt} blocks"
         );
@@ -1282,7 +1284,7 @@ fn chaos(args: &Args) -> Result<(), String> {
         policy,
     )?;
     let rps_post = c.requests as f64 / c.secs;
-    println!(
+    outln!(
         "chaos: phase C (recovered)  {} in {:.2}s, rps={rps_post:.0}",
         c.outcomes.summary(),
         c.secs
@@ -1313,7 +1315,7 @@ fn chaos(args: &Args) -> Result<(), String> {
     }
     let retries_srv = scrape.counter("forhdc_retries_total", &[]).unwrap_or(0);
     let shed_srv = scrape.counter("forhdc_shed_total", &[]).unwrap_or(0);
-    println!(
+    outln!(
         "chaos: life 2 metrics errors_total{{{}}} retries_total={retries_srv} shed_total={shed_srv}",
         counter_bits.join(", ")
     );
@@ -1331,7 +1333,7 @@ fn chaos(args: &Args) -> Result<(), String> {
     let phases = 3 + u64::from(mirror.is_some());
     let balanced =
         total.issued() == total.ok + total.errors() && total.issued() == phases * requests;
-    println!(
+    outln!(
         "chaos: conservation issued={} ok={} errors={} balanced={balanced}",
         total.issued(),
         total.ok,
@@ -1395,7 +1397,7 @@ fn chaos(args: &Args) -> Result<(), String> {
         std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
     }
 
-    println!(
+    outln!(
         "chaos: PASS rps_pre={rps_pre:.0} rps_post={rps_post:.0} (floor {:.0})",
         tolerance * rps_pre
     );

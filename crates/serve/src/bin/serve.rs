@@ -51,6 +51,7 @@ use forhdc_serve::engine::LiveOpts;
 use forhdc_serve::image::{create_images, open_dir, DiskMeta};
 use forhdc_serve::server::{run as run_server, termination_flag, ServerOpts};
 use forhdc_serve::Engine;
+use forhdc_trace::{out, outln};
 
 struct Args {
     positional: Vec<String>,
@@ -123,7 +124,7 @@ fn run() -> Result<(), String> {
         Some("mkdisk") => mkdisk(&args),
         Some("run") => serve(&args),
         Some("help") | None => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             Ok(())
         }
         Some(other) => Err(format!("unknown command '{other}'")),
@@ -144,7 +145,7 @@ fn mkdisk(args: &Args) -> Result<(), String> {
         mirrored: args.flag("mirror", 0u32)? != 0,
     };
     let meta = create_images(&dir, &meta)?;
-    println!(
+    outln!(
         "wrote {} images of {} blocks ({} files x {} blocks{}) under {}",
         meta.disks,
         meta.disk_blocks,
@@ -287,7 +288,7 @@ fn serve(args: &Args) -> Result<(), String> {
     if let Some(path) = args.flags.get("report") {
         std::fs::write(path, &report).map_err(|e| format!("write {path}: {e}"))?;
     }
-    print!("{report}");
+    out!("{report}");
     Ok(())
 }
 

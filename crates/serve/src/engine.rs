@@ -11,15 +11,19 @@
 //! histogram. Every disk sits behind its own mutex (one head per
 //! disk), so requests to different disks proceed in parallel while the
 //! single-threaded cache structures stay sound.
+//!
+//! The read path allocates nothing per request: the page store is a
+//! slab of block-sized frames (see [`crate::store`]), a media run is one
+//! `pread` into a per-disk scratch buffer, and the bytes go straight
+//! into the caller's buffer.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use forhdc_cache::fx::FxHashMap;
 use forhdc_core::controller::ControllerDecision;
 use forhdc_core::{DiskController, ReadAheadKind};
 use forhdc_fault::{FaultConfig, WallPolicy};
@@ -32,6 +36,7 @@ use crate::faults::LiveFaults;
 use crate::image::{rank_to_file, DiskMeta};
 use crate::metrics::ServeMetrics;
 use crate::protocol::MAX_READ_BLOCKS;
+use crate::store::PageStore;
 
 /// Slack on top of the controller-resident block count before the
 /// page store is pruned back to the resident set.
@@ -107,30 +112,41 @@ impl Drop for DepthGuard<'_> {
 struct DiskState {
     ctl: DiskController,
     file: File,
-    store: FxHashMap<u64, Box<[u8]>>,
+    store: PageStore,
+    /// Media runs land here; it grows to the longest run and is never
+    /// zero-filled again.
+    scratch: Vec<u8>,
 }
 
 impl DiskState {
-    /// Reads `nblocks` blocks at `start` straight from the image.
-    fn pread(
-        &mut self,
-        start: PhysBlock,
-        nblocks: u32,
-        block_bytes: u32,
-    ) -> std::io::Result<Vec<u8>> {
-        let mut buf = vec![0u8; nblocks as usize * block_bytes as usize];
-        self.file
-            .seek(SeekFrom::Start(start.index() * block_bytes as u64))?;
-        self.file.read_exact(&mut buf)?;
+    /// Reads `nblocks` blocks at `start` from the image into the
+    /// scratch buffer with one `pread`; returns them.
+    fn load(&mut self, start: PhysBlock, nblocks: u32, bs: u32) -> std::io::Result<&[u8]> {
+        let n = nblocks as usize * bs as usize;
+        if self.scratch.len() < n {
+            self.scratch.resize(n, 0);
+        }
+        let buf = &mut self.scratch[..n];
+        self.file.read_exact_at(buf, start.index() * bs as u64)?;
         Ok(buf)
     }
 
-    /// Writes `buf` over the image at `start` (rebuild streams only;
-    /// mirrored engines open their images writable for this).
-    fn pwrite(&mut self, start: PhysBlock, buf: &[u8], block_bytes: u32) -> std::io::Result<()> {
-        self.file
-            .seek(SeekFrom::Start(start.index() * block_bytes as u64))?;
-        self.file.write_all(buf)
+    /// Reads one block from the image straight into its page-store
+    /// frame; returns the page.
+    fn load_page(&mut self, block: PhysBlock, bs: u32) -> std::io::Result<&[u8]> {
+        let file = &self.file;
+        self.store.fill(block.index(), |page| {
+            file.read_exact_at(page, block.index() * bs as u64)
+        })
+    }
+
+    /// Copies the `nblocks` blocks the last [`DiskState::load`] read at
+    /// `start` into the page store.
+    fn keep_loaded(&mut self, start: PhysBlock, nblocks: u32, bs: u32) {
+        let n = nblocks as usize * bs as usize;
+        for (i, page) in self.scratch[..n].chunks_exact(bs as usize).enumerate() {
+            self.store.insert(start.index() + i as u64, page);
+        }
     }
 
     /// Drops store pages the controller no longer holds, once the
@@ -139,7 +155,7 @@ impl DiskState {
         let resident = self.ctl.ra_capacity_blocks() as usize + self.ctl.hdc_resident() as usize;
         if self.store.len() > resident + STORE_PRUNE_SLACK {
             let ctl = &self.ctl;
-            self.store.retain(|&k, _| ctl.covers(PhysBlock::new(k), 1));
+            self.store.retain(|k| ctl.covers(PhysBlock::new(k), 1));
         }
     }
 }
@@ -320,7 +336,8 @@ impl Engine {
             disks.push(Mutex::new(DiskState {
                 ctl: DiskController::new(&cfg, policy, hdc_blocks, bitmap),
                 file,
-                store: FxHashMap::default(),
+                store: PageStore::new(meta.block_bytes),
+                scratch: Vec::new(),
             }));
         }
         let metrics = Arc::new(ServeMetrics::new(meta.disks));
@@ -484,18 +501,20 @@ impl Engine {
         let src = (disk ^ 1) as usize;
         let dst = disk as usize;
         let m = &self.metrics;
+        let mut buf = vec![0u8; REBUILD_CHUNK_BLOCKS as usize * bs as usize];
         let mut done = 0u64;
         while done < total {
             let n = (REBUILD_CHUNK_BLOCKS as u64).min(total - done) as u32;
-            let start = PhysBlock::new(done);
+            let chunk = &mut buf[..n as usize * bs as usize];
+            let at = done * bs as u64;
             let t0 = Instant::now();
             let copied = {
-                let mut s = self.disks[src].lock().expect("disk lock poisoned");
-                s.pread(start, n, bs)
+                let s = self.disks[src].lock().expect("disk lock poisoned");
+                s.file.read_exact_at(chunk, at)
             }
-            .and_then(|buf| {
-                let mut d = self.disks[dst].lock().expect("disk lock poisoned");
-                d.pwrite(start, &buf, bs)
+            .and_then(|()| {
+                let d = self.disks[dst].lock().expect("disk lock poisoned");
+                d.file.write_all_at(chunk, at)
             });
             if copied.is_err() {
                 m.flight.record(TraceEvent::Fault {
@@ -549,10 +568,8 @@ impl Engine {
                     }
                     let mut d = self.disks[di].lock().expect("disk lock poisoned");
                     if d.ctl.pin(phys) {
-                        let bytes = d
-                            .pread(phys, 1, self.meta.block_bytes)
+                        d.load_page(phys, self.meta.block_bytes)
                             .map_err(|e| format!("disk {di}: loading pinned block: {e}"))?;
-                        d.store.insert(phys.index(), bytes.into_boxed_slice());
                     } else {
                         full[di] = true;
                         full_count += 1;
@@ -769,24 +786,23 @@ impl Engine {
                 m.disk_store_hits_total[di].add(nblocks as u64);
                 for i in 0..nblocks as u64 {
                     let key = start.index() + i;
-                    if let Some(page) = d.store.get(&key) {
+                    if let Some(page) = d.store.get(key) {
                         out.extend_from_slice(page);
                     } else {
                         // The presence structures say resident but the
                         // bytes were pruned: repair from the image.
                         m.disk_store_fallbacks_total[di].inc();
-                        let bytes = d
-                            .pread(PhysBlock::new(key), 1, bs)
+                        let page = d
+                            .load_page(PhysBlock::new(key), bs)
                             .map_err(|e| self.fault(disk, req, e))?;
-                        out.extend_from_slice(&bytes);
-                        d.store.insert(key, bytes.into_boxed_slice());
+                        out.extend_from_slice(page);
                     }
                 }
             }
             ControllerDecision::Media {
                 start: media_start,
                 nblocks: media_blocks,
-                read_ahead,
+                ..
             } => {
                 m.flight.record(TraceEvent::Probe {
                     t: m.now_ns(),
@@ -824,10 +840,11 @@ impl Engine {
                     }
                 }
                 let t0 = Instant::now();
-                let buf = d
-                    .pread(media_start, clipped, bs)
+                let run = d
+                    .load(media_start, clipped, bs)
                     .map_err(|e| self.fault(disk, req, e))?;
                 let service_ns = t0.elapsed().as_nanos() as u64;
+                out.extend_from_slice(&run[..nblocks as usize * bs as usize]);
                 m.disk_service_ns[di].record(service_ns);
                 m.disk_media_reads_total[di].inc();
                 m.disk_media_blocks_total[di].add(clipped as u64);
@@ -846,13 +863,9 @@ impl Engine {
                     read_ahead: clipped.saturating_sub(nblocks),
                     write: false,
                 });
-                let _ = read_ahead;
                 d.ctl
                     .on_media_complete(ReadWrite::Read, media_start, clipped, nblocks);
-                out.extend_from_slice(&buf[..nblocks as usize * bs as usize]);
-                for (i, page) in buf.chunks_exact(bs as usize).enumerate() {
-                    d.store.insert(media_start.index() + i as u64, page.into());
-                }
+                d.keep_loaded(media_start, clipped, bs);
                 d.prune_store();
             }
             ControllerDecision::HdcWriteAbsorbed => {
@@ -1106,6 +1119,52 @@ mod tests {
                 &out[off as usize * 4096..(off as usize + 1) * 4096],
                 &block_payload(hot, off, 4096)[..]
             );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn churning_page_store_keeps_every_byte() {
+        // A 512-block HDC leaves about 500 blocks of read-ahead cache
+        // per disk, so 4096 blocks per disk churn the store through a
+        // prune every few hundred media blocks.
+        let dir = std::env::temp_dir().join(format!("forhdc_engine_churn_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let meta = crate::image::DiskMeta {
+            block_bytes: 4096,
+            disks: 2,
+            unit_blocks: 4,
+            files: 2048,
+            file_blocks: 4,
+            seed: 5,
+            fragmentation: 0.0,
+            disk_blocks: 0,
+            mirrored: false,
+        };
+        let meta = create_images(&dir, &meta).unwrap();
+        let engine = Engine::open(&dir, meta, ReadAheadKind::For, 512).unwrap();
+        let mut out = Vec::new();
+        for pass in 0..3u64 {
+            for i in 0..2048u64 {
+                let file = ((i * 7919 + pass * 131) % 2048) as u32;
+                let (offset, nblocks) = if i % 3 == 0 { (1, 2) } else { (0, 4) };
+                out.clear();
+                engine.read(file, offset, nblocks, &mut out).unwrap();
+                for (b, page) in out.chunks_exact(4096).enumerate() {
+                    assert_eq!(
+                        page,
+                        &block_payload(file, offset + b as u64, 4096)[..],
+                        "pass {pass} file {file} block {}",
+                        offset + b as u64
+                    );
+                }
+            }
+        }
+        let snap = engine.snapshot();
+        for d in &snap.disks {
+            assert_eq!(d.store_fallbacks, 0, "disk {}", d.disk);
+            assert!(d.media_blocks > 4 * 1536, "disk {} barely churned", d.disk);
+            assert!(d.store_resident <= 1024 + STORE_PRUNE_SLACK + 256);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1452,11 +1511,12 @@ mod tests {
         // the "replaced disk" whose content is garbage.
         let path3 = DiskMeta::image_path(&dir, 3);
         let junk = vec![0xAAu8; (total * 4096 / 2) as usize];
-        {
-            let mut f = OpenOptions::new().write(true).open(&path3).unwrap();
-            f.seek(SeekFrom::Start(4096)).unwrap();
-            f.write_all(&junk).unwrap();
-        }
+        OpenOptions::new()
+            .write(true)
+            .open(&path3)
+            .unwrap()
+            .write_all_at(&junk, 4096)
+            .unwrap();
         assert!(engine.rebuild(3).unwrap());
         wait_rebuild(&engine, 3);
         let m = engine.metrics();

@@ -409,12 +409,14 @@ mod tests {
         let striping = meta.striping();
         let logical = map.block_at(forhdc_layout::FileId::new(3), 1).unwrap();
         let (disk, phys) = striping.locate(logical);
-        let mut img = File::open(DiskMeta::image_path(&dir, disk.index())).unwrap();
-        use std::io::{Seek, SeekFrom};
-        img.seek(SeekFrom::Start(phys.index() * meta.block_bytes as u64))
-            .unwrap();
+        let img = File::open(DiskMeta::image_path(&dir, disk.index())).unwrap();
         let mut got = vec![0u8; meta.block_bytes as usize];
-        img.read_exact(&mut got).unwrap();
+        std::os::unix::fs::FileExt::read_exact_at(
+            &img,
+            &mut got,
+            phys.index() * meta.block_bytes as u64,
+        )
+        .unwrap();
         assert_eq!(got, block_payload(3, 1, meta.block_bytes));
         let _ = std::fs::remove_dir_all(&dir);
     }

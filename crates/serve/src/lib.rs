@@ -12,9 +12,9 @@
 //!   function of `(file, offset)` so any client can verify any byte.
 //! - [`protocol`] — the tiny length-prefixed request/response framing.
 //! - [`engine`] — per-disk [`forhdc_core::DiskController`]s plus a
-//!   page store of resident bytes; cache hits copy from memory, misses
-//!   become real (timed) image reads extended by the policy's
-//!   read-ahead.
+//!   slab page store of resident bytes; cache hits copy from memory,
+//!   misses become real (timed) single-`pread` image reads extended by
+//!   the policy's read-ahead.
 //! - [`metrics`] — the live telemetry surface: the Prometheus-style
 //!   family set every layer records into, the crash flight recorder,
 //!   and the wall-clock origin (see `forhdc-metrics` and DESIGN.md
@@ -36,6 +36,7 @@ pub mod metrics;
 pub mod protocol;
 pub mod report;
 pub mod server;
+mod store;
 
 pub use engine::{DiskSnapshot, Engine, EngineSnapshot, LiveOpts, ReadError};
 pub use faults::LiveFaults;

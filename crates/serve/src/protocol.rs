@@ -145,13 +145,11 @@ impl std::fmt::Display for ErrorCode {
     }
 }
 
-/// Serializes an `ERR` response: status [`ST_ERR`], payload =
-/// code byte + message.
-pub fn write_error<W: Write>(w: &mut W, code: ErrorCode, msg: &str) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(1 + msg.len());
-    payload.push(code as u8);
-    payload.extend_from_slice(msg.as_bytes());
-    write_response(w, ST_ERR, &payload)
+/// Appends an `ERR` payload — the code byte, then the diagnostic — to
+/// a frame begun by [`begin_response`]; seal it with [`ST_ERR`].
+pub fn push_error(frame: &mut Vec<u8>, code: ErrorCode, msg: &str) {
+    frame.push(code as u8);
+    frame.extend_from_slice(msg.as_bytes());
 }
 
 /// Splits an `ERR` payload into its code and diagnostic. `None` code
@@ -317,8 +315,9 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Option<Request>, FrameError> {
             "request frame of {len} bytes (limit {MAX_REQUEST_FRAME})"
         )));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
+    let mut frame = [0u8; MAX_REQUEST_FRAME as usize];
+    let body = &mut frame[..len as usize];
+    r.read_exact(body)?;
     let op = body[0];
     let args = &body[1..];
     let req = match (op, args.len()) {
@@ -380,6 +379,24 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Option<Request>, FrameError> {
     Ok(Some(req))
 }
 
+/// Bytes of a response header: `len:u32 status:u8`.
+pub const RESPONSE_HEADER: usize = 5;
+
+/// Starts a response frame in `frame`: clears it and reserves the
+/// header. Append the payload, then [`seal_response`] it.
+pub fn begin_response(frame: &mut Vec<u8>) {
+    frame.clear();
+    frame.extend_from_slice(&[0; RESPONSE_HEADER]);
+}
+
+/// Fills in the header of a frame begun by [`begin_response`], making
+/// `frame` one complete response ready for a single write.
+pub fn seal_response(frame: &mut [u8], status: u8) {
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4] = status;
+}
+
 /// Serializes one response (status byte + payload) onto `w`.
 pub fn write_response<W: Write>(w: &mut W, status: u8, payload: &[u8]) -> io::Result<()> {
     w.write_all(&(1 + payload.len() as u32).to_le_bytes())?;
@@ -397,11 +414,11 @@ pub fn read_response<R: Read>(r: &mut R) -> Result<(u8, Vec<u8>), FrameError> {
             "response frame of {len} bytes (limit {MAX_RESPONSE_FRAME})"
         )));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let status = body[0];
-    body.remove(0);
-    Ok((status, body))
+    let mut status = [0u8; 1];
+    r.read_exact(&mut status)?;
+    let mut payload = vec![0u8; len as usize - 1];
+    r.read_exact(&mut payload)?;
+    Ok((status[0], payload))
 }
 
 #[cfg(test)]
@@ -453,6 +470,27 @@ mod tests {
     }
 
     #[test]
+    fn sealed_frames_roundtrip_a_4_mib_payload() {
+        let payload: Vec<u8> = (0..4 << 20).map(|i: u32| (i % 251) as u8).collect();
+        let mut frame = Vec::new();
+        begin_response(&mut frame);
+        frame.extend_from_slice(&payload);
+        seal_response(&mut frame, ST_OK);
+        // A sealed frame is byte-identical to the streamed encoding.
+        let mut wire = Vec::new();
+        write_response(&mut wire, ST_OK, &payload).unwrap();
+        assert!(frame == wire);
+        begin_response(&mut frame);
+        seal_response(&mut frame, ST_RANGE);
+        wire.extend_from_slice(&frame);
+        let mut c = Cursor::new(wire);
+        let (st, got) = read_response(&mut c).unwrap();
+        assert_eq!(st, ST_OK);
+        assert!(got == payload);
+        assert_eq!(read_response(&mut c).unwrap(), (ST_RANGE, Vec::new()));
+    }
+
+    #[test]
     fn oversized_request_frame_rejected() {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(MAX_REQUEST_FRAME + 1).to_le_bytes());
@@ -488,9 +526,12 @@ mod tests {
 
     #[test]
     fn error_frame_roundtrips_codes() {
-        let mut buf = Vec::new();
+        let (mut buf, mut frame) = (Vec::new(), Vec::new());
         for code in ErrorCode::ALL {
-            write_error(&mut buf, code, "disk 1: boom").unwrap();
+            begin_response(&mut frame);
+            push_error(&mut frame, code, "disk 1: boom");
+            seal_response(&mut frame, ST_ERR);
+            buf.extend_from_slice(&frame);
         }
         let mut c = Cursor::new(buf);
         for code in ErrorCode::ALL {

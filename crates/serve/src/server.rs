@@ -18,7 +18,7 @@
 //! with windowed RPS/MBps rates appended so successive scrapes read
 //! as deltas.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -31,8 +31,8 @@ use forhdc_metrics::{Gauge, RateWindow};
 use crate::engine::{Engine, ReadError};
 use crate::metrics::{OpKind, ServeMetrics};
 use crate::protocol::{
-    read_request, write_error, write_response, ErrorCode, FrameError, Request, ST_BAD_REQUEST,
-    ST_BUSY, ST_INTERNAL, ST_OK, ST_RANGE, ST_SHUTTING_DOWN,
+    begin_response, push_error, read_request, seal_response, ErrorCode, FrameError, Request,
+    ST_BAD_REQUEST, ST_BUSY, ST_ERR, ST_INTERNAL, ST_OK, ST_RANGE, ST_SHUTTING_DOWN,
 };
 use crate::report::{server_report, stats_line, ServeTotals};
 
@@ -44,6 +44,10 @@ const DRAIN_POLL: Duration = Duration::from_millis(50);
 /// exits anyway (clients holding idle connections open must not pin a
 /// terminating server forever).
 const DRAIN_GRACE: Duration = Duration::from_secs(10);
+/// A connection's frame buffer that grew past this is released after
+/// its response, so one large READ does not pin its size per idle
+/// connection.
+const FRAME_KEEP_BYTES: usize = 1 << 20;
 
 /// The process-wide termination request, flipped by the SIGTERM/SIGINT
 /// handler the `serve` binary installs. The supervise loop polls it
@@ -98,6 +102,18 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(engine: Engine, max_inflight: usize) -> Self {
+        Shared {
+            metrics: Arc::clone(engine.metrics()),
+            engine: Arc::new(engine),
+            shutdown: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            read_slots: AtomicUsize::new(0),
+            max_inflight,
+            dump_lock: Mutex::new(()),
+        }
+    }
+
     fn totals(&self) -> ServeTotals {
         let m = &self.metrics;
         let mut errors_by_code = [0u64; 5];
@@ -196,16 +212,7 @@ pub fn run(
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("listener: {e}"))?;
-    let metrics = Arc::clone(engine.metrics());
-    let shared = Arc::new(Shared {
-        engine: Arc::new(engine),
-        metrics,
-        shutdown: AtomicBool::new(false),
-        active: AtomicUsize::new(0),
-        read_slots: AtomicUsize::new(0),
-        max_inflight: opts.max_inflight,
-        dump_lock: Mutex::new(()),
-    });
+    let shared = Arc::new(Shared::new(engine, opts.max_inflight));
     let mut acceptors = Vec::new();
     for i in 0..opts.accept_threads.max(1) {
         let listener = listener
@@ -296,9 +303,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, max_conns: usize) {
                 if was >= max_conns {
                     shared.active.fetch_sub(1, Ordering::SeqCst);
                     shared.metrics.connections_rejected_total.inc();
-                    let mut w = BufWriter::new(stream);
-                    let _ = write_response(&mut w, ST_BUSY, b"connection limit reached");
-                    let _ = w.flush();
+                    let mut out = Responder::new(stream);
+                    out.payload().extend_from_slice(b"connection limit reached");
+                    out.send(ST_BUSY);
                     continue;
                 }
                 let conn_id = shared.metrics.connections_total.get();
@@ -394,16 +401,22 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut r = BufReader::new(read_half);
-    let mut w = BufWriter::new(stream);
+    serve_conn(shared, BufReader::new(read_half), stream);
+}
+
+/// Answers requests from `r` on `w` until the peer leaves, a frame is
+/// malformed, or the client asks for shutdown. Every response is built
+/// in one reused frame buffer and sent with a single write.
+fn serve_conn<R: Read, W: Write>(shared: &Shared, mut r: R, w: W) {
+    let mut w = Responder::new(w);
     loop {
         let req = match read_request(&mut r) {
             Ok(Some(req)) => req,
             Ok(None) => return, // clean EOF between frames
             Err(FrameError::Malformed(m)) => {
                 shared.metrics.error_counter(None).inc();
-                let _ = write_response(&mut w, ST_BAD_REQUEST, m.as_bytes());
-                let _ = w.flush();
+                w.payload().extend_from_slice(m.as_bytes());
+                w.send(ST_BAD_REQUEST);
                 return;
             }
             Err(FrameError::Io(_)) => return,
@@ -545,7 +558,7 @@ impl Drop for AdmitGuard<'_> {
 /// statuses.
 fn serve_read<W: Write>(
     shared: &Shared,
-    w: &mut W,
+    w: &mut Responder<W>,
     t0: Instant,
     file: u32,
     offset: u64,
@@ -563,9 +576,9 @@ fn serve_read<W: Write>(
             ),
         );
     };
-    let mut buf = Vec::new();
-    match shared.engine.read(file, offset, nblocks, &mut buf) {
-        Ok(()) => respond(shared, w, OpKind::Read, t0, ST_OK, &buf),
+    // The engine appends the payload right after the reserved header.
+    match shared.engine.read(file, offset, nblocks, w.payload()) {
+        Ok(()) => count_response(shared, w.send(ST_OK), OpKind::Read, t0, ST_OK),
         Err(ReadError::Range(m)) => respond(shared, w, OpKind::Read, t0, ST_RANGE, m.as_bytes()),
         Err(ReadError::Internal(m)) => {
             // An internal error means the images failed underneath us:
@@ -584,7 +597,7 @@ fn serve_read<W: Write>(
 /// `ST_RANGE` when the target is outside the array.
 fn respond_fault<W: Write>(
     shared: &Shared,
-    w: &mut W,
+    w: &mut Responder<W>,
     t0: Instant,
     res: Result<String, ReadError>,
 ) -> bool {
@@ -601,30 +614,73 @@ fn respond_fault<W: Write>(
     }
 }
 
-/// Writes and flushes one structured `ERR` response, counting it into
+/// One connection's write half: the stream and the frame buffer every
+/// response is built in.
+struct Responder<W> {
+    w: W,
+    frame: Vec<u8>,
+}
+
+impl<W: Write> Responder<W> {
+    fn new(w: W) -> Self {
+        Responder {
+            w,
+            frame: Vec::new(),
+        }
+    }
+
+    /// Starts the next response: the frame, cleared, with its header
+    /// reserved. Append the payload, then [`Responder::send`].
+    fn payload(&mut self) -> &mut Vec<u8> {
+        begin_response(&mut self.frame);
+        &mut self.frame
+    }
+
+    /// Seals the frame with `status` and sends it in one write; returns
+    /// `false` when the peer is gone.
+    fn send(&mut self, status: u8) -> bool {
+        seal_response(&mut self.frame, status);
+        let delivered = self.w.write_all(&self.frame).is_ok();
+        if self.frame.capacity() > FRAME_KEEP_BYTES {
+            self.frame = Vec::new();
+        }
+        delivered
+    }
+}
+
+/// Sends one structured `ERR` response, counting it into
 /// `forhdc_errors_total{code=...}`; returns `false` when the peer is
 /// gone.
-fn respond_err<W: Write>(shared: &Shared, w: &mut W, code: ErrorCode, msg: &str) -> bool {
-    let delivered = write_error(w, code, msg).and_then(|()| w.flush()).is_ok();
+fn respond_err<W: Write>(
+    shared: &Shared,
+    w: &mut Responder<W>,
+    code: ErrorCode,
+    msg: &str,
+) -> bool {
+    push_error(w.payload(), code, msg);
+    let delivered = w.send(ST_ERR);
     shared.metrics.error_counter(Some(code)).inc();
     delivered
 }
 
-/// Writes and flushes one response; returns `false` when the peer is
-/// gone. Counts OK responses into the per-op request counters (and
-/// delivered ones into the per-op latency histogram), the rest into
-/// the unstructured error counter.
+/// Sends one response with `payload`; returns `false` when the peer is
+/// gone.
 fn respond<W: Write>(
     shared: &Shared,
-    w: &mut W,
+    w: &mut Responder<W>,
     op: OpKind,
     t0: Instant,
     status: u8,
     payload: &[u8],
 ) -> bool {
-    let delivered = write_response(w, status, payload)
-        .and_then(|()| w.flush())
-        .is_ok();
+    w.payload().extend_from_slice(payload);
+    count_response(shared, w.send(status), op, t0, status)
+}
+
+/// Counts a sent response: OK ones into the per-op request counters
+/// (and delivered ones into the per-op latency histogram), the rest
+/// into the unstructured error counter. Returns `delivered`.
+fn count_response(shared: &Shared, delivered: bool, op: OpKind, t0: Instant, status: u8) -> bool {
     if status == ST_OK {
         shared.metrics.requests_total[op.index()].inc();
         if delivered {
@@ -1107,6 +1163,90 @@ mod tests {
         let _ = request(&mut admin, &Request::Shutdown);
         drop(admin);
         handle.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `Write` that keeps each `write` call's bytes apart.
+    #[derive(Default)]
+    struct CountingWriter(Vec<Vec<u8>>);
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_is_one_write_of_one_frame() {
+        use crate::protocol::{parse_error, ST_ERR};
+        let dir = std::env::temp_dir().join(format!("forhdc_server_writes_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let meta = DiskMeta {
+            block_bytes: 4096,
+            disks: 2,
+            unit_blocks: 4,
+            files: 16,
+            file_blocks: 256,
+            seed: 9,
+            fragmentation: 0.0,
+            disk_blocks: 0,
+            mirrored: false,
+        };
+        let meta = create_images(&dir, &meta).unwrap();
+        let engine = Engine::open(&dir, meta, ReadAheadKind::For, 0).unwrap();
+        let shared = Shared::new(engine, 0);
+        let read = |file, nblocks| Request::Read {
+            file,
+            offset: 0,
+            nblocks,
+        };
+        let reqs = [
+            Request::Ping,
+            read(3, 2),
+            read(4, 256), // a 1-MiB payload: past the kept frame size
+            read(999, 1),
+            Request::FaultOffline {
+                disk: 0,
+                ms: 60_000,
+            },
+            Request::FaultOffline {
+                disk: 1,
+                ms: 60_000,
+            },
+            read(5, 2),
+        ];
+        let mut input = Vec::new();
+        for r in &reqs {
+            write_request(&mut input, r).unwrap();
+        }
+        let mut w = CountingWriter::default();
+        serve_conn(&shared, std::io::Cursor::new(input), &mut w);
+        assert_eq!(w.0.len(), reqs.len(), "one write per response");
+        let mut frames = Vec::new();
+        for bytes in &w.0 {
+            let mut c = std::io::Cursor::new(bytes);
+            frames.push(read_response(&mut c).unwrap());
+            assert_eq!(c.position() as usize, bytes.len(), "one frame per write");
+        }
+        assert_eq!(frames[0], (ST_OK, Vec::new()));
+        for (i, (file, nblocks)) in [(1, (3, 2)), (2, (4, 256))] {
+            let (st, data) = &frames[i];
+            assert_eq!(*st, ST_OK);
+            assert_eq!(data.len(), nblocks * 4096);
+            for (b, page) in data.chunks_exact(4096).enumerate() {
+                assert_eq!(page, &block_payload(file, b as u64, 4096)[..]);
+            }
+        }
+        assert_eq!(frames[3].0, ST_RANGE);
+        assert_eq!(frames[4].0, ST_OK);
+        assert_eq!(frames[5].0, ST_OK);
+        assert_eq!(frames[6].0, ST_ERR);
+        assert_eq!(parse_error(&frames[6].1).0, Some(ErrorCode::DiskOffline));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

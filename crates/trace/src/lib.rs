@@ -39,6 +39,7 @@
 
 pub mod event;
 pub mod hist;
+pub mod stdout;
 pub mod summary;
 
 pub use event::{parse_jsonl, write_jsonl, FaultKind, ProbeResult, TraceEvent};

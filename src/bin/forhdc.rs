@@ -28,6 +28,7 @@ use forhdc::sim::{SchedulerKind, SimDuration};
 use forhdc::workload::io::{read_layout, read_trace, write_layout, write_trace};
 use forhdc::workload::stats::summarize;
 use forhdc::workload::{ServerWorkloadSpec, SyntheticWorkload, Workload};
+use forhdc_trace::{out, outln};
 
 struct Args {
     positional: Vec<String>,
@@ -87,7 +88,7 @@ fn run() -> Result<(), String> {
         Some("simulate") => simulate(&args),
         Some("inspect") => inspect(&args),
         Some("help") | None => {
-            print!("{}", USAGE);
+            out!("{}", USAGE);
             Ok(())
         }
         Some(other) => Err(format!("unknown command '{other}'")),
@@ -138,13 +139,13 @@ fn generate(args: &Args) -> Result<(), String> {
         BufWriter::new(File::create(&layout_path).map_err(|e| e.to_string())?),
     )
     .map_err(|e| e.to_string())?;
-    println!("{}", summarize(&workload.trace, 4096));
-    println!(
+    outln!("{}", summarize(&workload.trace, 4096));
+    outln!(
         "wrote {} and {}",
         trace_path.display(),
         layout_path.display()
     );
-    println!("suggested streams: {}", workload.streams);
+    outln!("suggested streams: {}", workload.streams);
     Ok(())
 }
 
@@ -187,7 +188,7 @@ fn simulate(args: &Args) -> Result<(), String> {
         streams,
     };
     let report = System::new(cfg, &workload).run();
-    println!("{report}");
+    outln!("{report}");
     Ok(())
 }
 
@@ -196,9 +197,9 @@ fn inspect(args: &Args) -> Result<(), String> {
         File::open(args.required("trace")?).map_err(|e| e.to_string())?,
     ))
     .map_err(|e| e.to_string())?;
-    println!("{}", summarize(&trace, 4096));
-    println!("jobs: {}", trace.job_count());
+    outln!("{}", summarize(&trace, 4096));
+    outln!("jobs: {}", trace.job_count());
     let head = trace.popularity_curve(10);
-    println!("hottest blocks (accesses): {head:?}");
+    outln!("hottest blocks (accesses): {head:?}");
     Ok(())
 }
