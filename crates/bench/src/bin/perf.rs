@@ -1,14 +1,13 @@
-//! The perf harness: a fixed set of hot-path microbenches plus one
-//! end-to-end `fig3`-point simulation, timed with plain wall clocks and
-//! emitted as machine-readable JSON (`BENCH_*.json`).
+//! The perf harness: a fixed set of hot-path microbenches (caches and
+//! the simulator's per-layer primitives) plus end-to-end `fig3`- and
+//! `fig5`-point simulations, timed with plain wall clocks and emitted
+//! as machine-readable JSON (`BENCH_*.json`).
 //!
 //! ```text
-//! perf [--fast] [--shards N] [--json PATH] [--baseline PATH] [--fail-below RATIO]
+//! perf [--fast] [--json PATH] [--baseline PATH] [--fail-below RATIO]
 //! perf cmp OLD.json NEW.json [--fail-below RATIO]
 //!
 //!   --fast             CI smoke mode: one repetition, small batches
-//!   --shards N         engine shards for the sharded e2e bench
-//!                      (default 4; reported in the shards column)
 //!   --json PATH        write the results as JSON to PATH
 //!   --baseline PATH    read a previous --json output and report speedups
 //!   --fail-below R     exit non-zero if any bench's speedup vs the
@@ -21,11 +20,11 @@
 //!                      common bench's speedup falls below R.
 //! ```
 //!
-//! Unlike the Criterion benches (which use the offline criterion stub's
-//! fixed time budget), this harness runs a *fixed work quantum* per
-//! bench and reports the best-of-R nanoseconds per operation, so two
-//! runs on the same machine are directly comparable. The committed
-//! `BENCH_PR2.json` at the repo root records the PR-over-PR trajectory.
+//! Each bench runs a *fixed work quantum* and reports the best-of-R
+//! nanoseconds per operation, so two runs on the same machine are
+//! directly comparable. The newest committed `BENCH_PR*.json` at the
+//! repo root is the baseline the CI gate compares against; the older
+//! ones record the trajectory.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -38,7 +37,11 @@ use forhdc_cache::{
 use forhdc_core::{System, SystemConfig};
 use forhdc_host::BufferCache;
 use forhdc_runner::point_seed;
-use forhdc_sim::{LogicalBlock, PhysBlock, ReadWrite};
+use forhdc_sim::sched::{QueuedOp, Scheduler};
+use forhdc_sim::{
+    DiskConfig, DiskMechanics, LaneCalendar, LogicalBlock, PhysBlock, ReadWrite, SchedulerKind,
+    SimDuration, SimTime, StripingMap,
+};
 use forhdc_trace::outln;
 use forhdc_workload::SyntheticWorkload;
 
@@ -48,9 +51,6 @@ struct BenchResult {
     name: &'static str,
     ns_per_op: f64,
     ops: u64,
-    /// Engine shards the bench ran with (1 = serial; only the e2e
-    /// simulations can shard).
-    shards: usize,
 }
 
 struct Harness {
@@ -76,12 +76,11 @@ impl Harness {
             let ns = t.elapsed().as_nanos() as f64 / batch as f64;
             best = best.min(ns);
         }
-        outln!("{name:<40} {best:>12.1} ns/op  ({batch} ops, shards 1)");
+        outln!("{name:<40} {best:>12.1} ns/op  ({batch} ops)");
         self.results.push(BenchResult {
             name,
             ns_per_op: best,
             ops: batch,
-            shards: 1,
         });
     }
 }
@@ -167,6 +166,104 @@ fn bench_hdc(h: &mut Harness) {
     });
 }
 
+fn bench_mechanics(h: &mut Harness) {
+    // One 4-block read at a pseudo-random position: seek, rotation and
+    // transfer of the default disk.
+    let cfg = DiskConfig::default();
+    h.bench("mechanics/service_4blk", 2_000_000, |n| {
+        let mut mech = DiskMechanics::new(&cfg);
+        let mut i = 0u64;
+        let mut acc = 0u64;
+        for _ in 0..n {
+            i = i.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let block = PhysBlock::new(i % 4_000_000);
+            let now = SimTime::from_nanos(i % 1_000_000);
+            acc = acc.wrapping_add(
+                mech.service(ReadWrite::Read, block, 4, now)
+                    .total()
+                    .as_nanos(),
+            );
+        }
+        acc
+    });
+}
+
+fn bench_scheduler(h: &mut Harness) {
+    // One op: fill the engine's LOOK scheduler with 64 scattered ops,
+    // then drain it following the head.
+    h.bench("scheduler/look_push_pop_64", 50_000, |n| {
+        let mut s = Scheduler::new(SchedulerKind::Look);
+        let mut acc = 0u64;
+        for _ in 0..n {
+            for i in 0..64u64 {
+                s.push(QueuedOp {
+                    token: i,
+                    start: PhysBlock::new(i * 997 % 100_000),
+                    nblocks: 4,
+                    requested: 4,
+                    kind: ReadWrite::Read,
+                    cylinder: (i * 997 % 10_000) as u32,
+                    queued_at: SimTime::ZERO,
+                    attempt: 0,
+                });
+            }
+            let mut head = 5_000;
+            while let Some(op) = s.pop_next(head) {
+                head = op.cylinder;
+            }
+            acc += head as u64;
+        }
+        acc
+    });
+}
+
+fn bench_striping(h: &mut Harness) {
+    // A 64-block request split over 8 disks with a 32-block unit, into
+    // a reused buffer as the issue path does.
+    let map = StripingMap::new(8, 32);
+    h.bench("striping/split_64blk", 2_000_000, |n| {
+        let mut out = Vec::new();
+        let mut acc = 0u64;
+        for i in 0..n {
+            map.split_into(LogicalBlock::new(i * 12_345 % 1_000_000), 64, &mut out);
+            acc += out.len() as u64;
+        }
+        acc
+    });
+}
+
+fn bench_calendar(h: &mut Harness) {
+    // One op: 1,000 pop/push pairs on the engine's calendar in steady
+    // state: 8 disk lanes with one completion each in flight, every
+    // popped completion re-armed on its lane, and one in 16 also
+    // scheduling a fallback-heap event (a retry).
+    const LANES: usize = 8;
+    const HEAP: usize = usize::MAX;
+    h.bench("calendar/push_pop_1k", 2_000, |n| {
+        let mut acc = 0u64;
+        for _ in 0..n {
+            let mut c = LaneCalendar::with_lanes(LANES);
+            for lane in 0..LANES {
+                c.schedule_lane(lane, SimTime::from_nanos(lane as u64 * 100), lane);
+            }
+            let mut x = 1u64;
+            for i in 0..1_000u64 {
+                let fired = c.pop().expect("lanes stay armed");
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let delta = SimDuration::from_nanos(1_000 + (x >> 33) % 10_000);
+                if fired.event != HEAP {
+                    c.schedule_lane(fired.event, fired.time + delta, fired.event);
+                }
+                if i % 16 == 0 {
+                    c.schedule(fired.time + delta + delta, HEAP);
+                }
+                acc = acc.wrapping_add(fired.time.as_nanos());
+            }
+        }
+        acc
+    });
+}
+
 /// Times `reps` full runs of `cfg` over `wl` and records the best
 /// per-request wall time under `name`.
 fn bench_system(
@@ -174,23 +271,21 @@ fn bench_system(
     name: &'static str,
     wl: &forhdc_workload::Workload,
     cfg: impl Fn() -> SystemConfig,
-    shards: usize,
 ) {
     let requests = wl.trace.len();
     let reps = if h.fast { 1 } else { 3 };
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let t = Instant::now();
-        let r = System::new(cfg(), wl).with_shards(shards).run();
+        let r = System::new(cfg(), wl).run();
         std::hint::black_box(r.io_time);
         best = best.min(t.elapsed().as_nanos() as f64 / requests as f64);
     }
-    outln!("{name:<40} {best:>12.1} ns/req  ({requests} reqs, shards {shards})");
+    outln!("{name:<40} {best:>12.1} ns/req  ({requests} reqs)");
     h.results.push(BenchResult {
         name,
         ns_per_op: best,
         ops: requests as u64,
-        shards,
     });
 }
 
@@ -211,15 +306,13 @@ fn bench_e2e(h: &mut Harness) {
         .streams(128)
         .seed(seed)
         .build();
-    bench_system(h, "e2e/fig3_point_for", &wl, SystemConfig::for_, 1);
+    bench_system(h, "e2e/fig3_point_for", &wl, SystemConfig::for_);
 }
 
-fn bench_e2e_fig5(h: &mut Harness, shards: usize) {
+fn bench_e2e_fig5(h: &mut Harness) {
     // One fig5 point (alpha 0.4, 8-disk array, FOR policy) at a reduced
-    // request count: the multi-disk workload whose media completions
-    // actually overlap, so the sharded engine forms real windows. Run
-    // serial and sharded back to back over the same workload; the
-    // reports are byte-identical, only the wall clock differs.
+    // request count: a skewed multi-disk workload whose media
+    // completions overlap across disks.
     let opts = RunOptions::default();
     let requests = opts.synthetic_requests / 2;
     let seed = point_seed("fig5", 2); // row 2 = Zipf alpha 0.4
@@ -231,8 +324,7 @@ fn bench_e2e_fig5(h: &mut Harness, shards: usize) {
         .zipf_alpha(0.4)
         .seed(seed)
         .build();
-    bench_system(h, "e2e/fig5_point_for", &wl, SystemConfig::for_, 1);
-    bench_system(h, "e2e/fig5_point_sharded", &wl, SystemConfig::for_, shards);
+    bench_system(h, "e2e/fig5_point_for", &wl, SystemConfig::for_);
 }
 
 fn to_json(results: &[BenchResult], fast: bool, baseline: Option<&Vec<(String, f64)>>) -> String {
@@ -249,8 +341,8 @@ fn to_json(results: &[BenchResult], fast: bool, baseline: Option<&Vec<(String, f
             s.push(',');
         }
         s.push_str(&format!(
-            "\n    \"{}\": {{\"ns_per_op\": {:.1}, \"ops\": {}, \"shards\": {}}}",
-            r.name, r.ns_per_op, r.ops, r.shards
+            "\n    \"{}\": {{\"ns_per_op\": {:.1}, \"ops\": {}}}",
+            r.name, r.ns_per_op, r.ops
         ));
     }
     s.push_str("\n  }");
@@ -327,7 +419,6 @@ fn main() -> ExitCode {
         return cmp_main(&args[1..]);
     }
     let mut fast = false;
-    let mut shards = 4usize;
     let mut json_path: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
     let mut fail_below: Option<f64> = None;
@@ -335,13 +426,6 @@ fn main() -> ExitCode {
     while i < args.len() {
         match args[i].as_str() {
             "--fast" => fast = true,
-            "--shards" => {
-                i += 1;
-                shards = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) if v > 0 => v,
-                    _ => return usage_err("--shards needs a positive integer"),
-                };
-            }
             "--json" => {
                 i += 1;
                 match args.get(i) {
@@ -410,8 +494,12 @@ fn main() -> ExitCode {
     bench_buffer_cache(&mut h);
     bench_segment_cache(&mut h);
     bench_hdc(&mut h);
+    bench_mechanics(&mut h);
+    bench_scheduler(&mut h);
+    bench_striping(&mut h);
+    bench_calendar(&mut h);
     bench_e2e(&mut h);
-    bench_e2e_fig5(&mut h, shards);
+    bench_e2e_fig5(&mut h);
 
     let mut regressed = Vec::new();
     if let Some(base) = &baseline {
@@ -510,7 +598,7 @@ fn cmp_main(args: &[String]) -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: perf [--fast] [--shards N] [--json PATH] [--baseline PATH] [--fail-below RATIO]\n       perf cmp OLD.json NEW.json [--fail-below RATIO]";
+const USAGE: &str = "usage: perf [--fast] [--json PATH] [--baseline PATH] [--fail-below RATIO]\n       perf cmp OLD.json NEW.json [--fail-below RATIO]";
 
 fn usage_err(err: &str) -> ExitCode {
     eprintln!("error: {err}\n\n{USAGE}");

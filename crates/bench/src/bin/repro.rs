@@ -2,7 +2,7 @@
 //! paper's evaluation.
 //!
 //! ```text
-//! repro <experiment|all> [--jobs N] [--shards N] [--no-cache] [--scale X] [--requests N] [--out DIR] [--trace DIR] [--check] [--max-retries N] [--timings]
+//! repro <experiment|all> [--jobs N] [--no-cache] [--scale X] [--requests N] [--out DIR] [--trace DIR] [--check] [--max-retries N] [--timings]
 //! repro fuzz [--iters N] [--seed S] [--out DIR]
 //! repro replay FILE
 //! repro --list
@@ -10,8 +10,6 @@
 //!   experiment   one of: table1 fig1 fig2 ... fig12 table2 fig-faults
 //!                ablation-{sched,segrepl,blkrepl,segsize,coalesce,periodic,...}
 //!   --jobs N     worker threads for sweep experiments (default 1);
-//!                output is byte-identical for every N
-//!   --shards N   event-engine shards per simulation (default 1);
 //!                output is byte-identical for every N
 //!   --no-cache   bypass the result cache (<out>/.cache/)
 //!   --scale X    server-clone request scale (default 1.0)
@@ -88,13 +86,6 @@ fn main() -> ExitCode {
                     _ => return usage_err("--jobs needs a positive integer"),
                 };
             }
-            "--shards" => {
-                i += 1;
-                opts.shards = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) if v > 0 => v,
-                    _ => return usage_err("--shards needs a positive integer"),
-                };
-            }
             "--max-retries" => {
                 i += 1;
                 max_retries = match args.get(i).and_then(|s| s.parse().ok()) {
@@ -129,6 +120,9 @@ fn main() -> ExitCode {
             "-h" | "--help" => {
                 outln!("{}", usage_text());
                 return ExitCode::SUCCESS;
+            }
+            other if other.starts_with('-') => {
+                return usage_err(&format!("unknown argument '{other}'"))
             }
             other => targets.push(other.to_string()),
         }
@@ -366,7 +360,7 @@ fn replay_main(args: &[String]) -> ExitCode {
 
 fn usage_text() -> String {
     format!(
-        "usage: repro <experiment|all> [--jobs N] [--shards N] [--no-cache] [--scale X] [--requests N] [--out DIR] [--trace DIR] [--check] [--max-retries N] [--timings]\n       repro fuzz [--iters N] [--seed S] [--out DIR]\n       repro replay FILE\n       repro --list\n\nexperiments: {}",
+        "usage: repro <experiment|all> [--jobs N] [--no-cache] [--scale X] [--requests N] [--out DIR] [--trace DIR] [--check] [--max-retries N] [--timings]\n       repro fuzz [--iters N] [--seed S] [--out DIR]\n       repro replay FILE\n       repro --list\n\nexperiments: {}",
         experiments::ALL.join(" ")
     )
 }

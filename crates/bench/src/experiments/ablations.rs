@@ -488,7 +488,6 @@ pub fn plan_periodic_planner(opts: RunOptions) -> PlannedExperiment {
         .param("scale", opts.scale)
         .param("plan", format!("history/{periods}"));
         let wl = wl.clone();
-        let shards = opts.shards.max(1);
         jobs.push(SimJob::new(spec, move || {
             // Approximate the periodic deployment: plan from the first
             // (periods − 1)/periods of the trace's history, replay whole.
@@ -497,7 +496,7 @@ pub fn plan_periodic_planner(opts: RunOptions) -> PlannedExperiment {
             let striping = StripingMap::new(cfg.array.disks, cfg.array.striping_unit_blocks());
             let plans = plan_periodic(&wl.trace, &striping, cfg.hdc_blocks(), periods);
             let last = plans.last().expect("at least one period").clone();
-            report_metrics(&System::with_plan(cfg, wl, last).with_shards(shards).run())
+            report_metrics(&System::with_plan(cfg, wl, last).run())
         }));
     }
     PlannedExperiment {
@@ -649,9 +648,7 @@ pub fn plan_cooperative(opts: RunOptions) -> PlannedExperiment {
                 } else {
                     SystemConfig::segm().with_hdc(HDC)
                 };
-                let r = System::new(cfg, wl.get())
-                    .with_shards(opts.shards.max(1))
-                    .run();
+                let r = System::new(cfg, wl.get()).run();
                 JobOutput::new()
                     .metric("io_ns", r.io_time.as_nanos() as f64)
                     .metric("coop_hits", r.coop_hits as f64)
@@ -750,13 +747,9 @@ pub fn plan_victim(opts: RunOptions) -> PlannedExperiment {
             SimJob::new(spec, move || {
                 let vw = vw.get();
                 let r = match mode {
-                    "no-hdc" => System::new(SystemConfig::segm(), &vw.workload)
-                        .with_shards(opts.shards.max(1))
-                        .run(),
+                    "no-hdc" => System::new(SystemConfig::segm(), &vw.workload).run(),
                     "top-miss" => {
-                        System::new(SystemConfig::segm().with_hdc(VICTIM_HDC), &vw.workload)
-                            .with_shards(opts.shards.max(1))
-                            .run()
+                        System::new(SystemConfig::segm().with_hdc(VICTIM_HDC), &vw.workload).run()
                     }
                     _ => System::with_plan(
                         SystemConfig::segm().with_hdc(VICTIM_HDC),
@@ -764,7 +757,6 @@ pub fn plan_victim(opts: RunOptions) -> PlannedExperiment {
                         HdcPlan::empty(8),
                     )
                     .with_hdc_commands(vw.commands.clone())
-                    .with_shards(opts.shards.max(1))
                     .run(),
                 };
                 let mut o = JobOutput::new()

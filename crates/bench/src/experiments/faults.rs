@@ -107,19 +107,12 @@ fn fault_job(
     wl: &SharedWorkload,
     cfg: impl Fn() -> SystemConfig + Send + Sync + 'static,
     fault_cfg: FaultConfig,
-    shards: usize,
 ) -> SimJob {
     let wl = wl.clone();
     SimJob::new(spec, move || {
         let sys_cfg = cfg().with_recovery(recovery());
         let faults = SeededFaults::new(fault_cfg.clone());
-        // Faulted runs serialize inside the engine, but the shard
-        // count still flows through so `repro --shards N` is uniform.
-        fault_metrics(
-            &System::new_faulted(sys_cfg, wl.get(), faults)
-                .with_shards(shards)
-                .run(),
-        )
+        fault_metrics(&System::new_faulted(sys_cfg, wl.get(), faults).run())
     })
 }
 
@@ -155,13 +148,7 @@ pub fn plan_faults(opts: RunOptions) -> PlannedExperiment {
             .param("rate", RATE_LABELS[row])
             .param("fault_seed", fault_cfg.seed)
             .param("faulted", rate > 0.0);
-            jobs.push(fault_job(
-                spec,
-                &wl,
-                cfg,
-                fault_cfg.clone(),
-                opts.shards.max(1),
-            ));
+            jobs.push(fault_job(spec, &wl, cfg, fault_cfg.clone()));
         }
     }
     PlannedExperiment {

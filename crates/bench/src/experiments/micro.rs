@@ -202,12 +202,8 @@ pub fn plan_model_check(opts: crate::RunOptions) -> PlannedExperiment {
                     .zipf_alpha(0.0) // the closed form has no reuse term
                     .seed(42)
                     .build();
-                let segm = System::new(SystemConfig::segm(), &wl)
-                    .with_shards(opts.shards.max(1))
-                    .run();
-                let for_ = System::new(SystemConfig::for_(), &wl)
-                    .with_shards(opts.shards.max(1))
-                    .run();
+                let segm = System::new(SystemConfig::segm(), &wl).run();
+                let for_ = System::new(SystemConfig::for_(), &wl).run();
                 JobOutput::new()
                     .metric("pred", pred)
                     .metric("sim", for_.normalized_io_time(&segm))

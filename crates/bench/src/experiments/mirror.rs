@@ -16,7 +16,7 @@
 //! per policy, total I/O time and p99 request latency under each
 //! rebuild regime, plus the failover and copied-block tallies of the
 //! paced run. Jobs are pure functions of their spec (seeded offline
-//! window, deterministic rebuild), so parallel/sharded runs reassemble
+//! window, deterministic rebuild), so parallel runs reassemble
 //! byte-identically.
 
 use forhdc_core::{
@@ -110,7 +110,6 @@ fn mirror_job(
     policy: ReadSplit,
     rate: Option<u64>,
     fault_cfg: FaultConfig,
-    shards: usize,
 ) -> SimJob {
     let wl = wl.clone();
     SimJob::new(spec, move || {
@@ -123,11 +122,7 @@ fn mirror_job(
             cfg = cfg.with_rebuild(rebuild(rate));
         }
         let faults = SeededFaults::new(fault_cfg.clone());
-        mirror_metrics(
-            &System::new_faulted(cfg, wl.get(), faults)
-                .with_shards(shards)
-                .run(),
-        )
+        mirror_metrics(&System::new_faulted(cfg, wl.get(), faults).run())
     })
 }
 
@@ -161,14 +156,7 @@ pub fn plan_mirror(opts: RunOptions) -> PlannedExperiment {
             .param("split", policy.label())
             .param("rebuild", rb_label)
             .param("fault_seed", fault_cfg.seed);
-            jobs.push(mirror_job(
-                spec,
-                &wl,
-                policy,
-                rate,
-                fault_cfg.clone(),
-                opts.shards.max(1),
-            ));
+            jobs.push(mirror_job(spec, &wl, policy, rate, fault_cfg.clone()));
         }
     }
     PlannedExperiment {
@@ -253,16 +241,5 @@ mod tests {
         let (parallel, stats) = plan_mirror(quick()).run_with(&runner);
         assert!(stats.failures.is_empty());
         assert_eq!(serial.to_csv(), parallel.expect("table").to_csv());
-    }
-
-    #[test]
-    fn fig_mirror_sharded_matches_serial_byte_for_byte() {
-        let serial = plan_mirror(quick()).run_serial();
-        let sharded = plan_mirror(RunOptions {
-            shards: 4,
-            ..quick()
-        })
-        .run_serial();
-        assert_eq!(serial.to_csv(), sharded.to_csv());
     }
 }

@@ -8,7 +8,7 @@
 //! splitting them would triple the simulation count for no latency win.
 
 use forhdc_analytic::zipf_cumulative;
-use forhdc_core::{Report, System, SystemConfig};
+use forhdc_core::{System, SystemConfig};
 use forhdc_runner::{JobOutput, JobSpec, SimJob};
 use forhdc_workload::{ServerKind, ServerWorkloadSpec, Workload};
 
@@ -49,10 +49,6 @@ fn workload(kind: ServerKind, opts: RunOptions) -> Workload {
 
 fn shared_workload(kind: ServerKind, opts: RunOptions) -> SharedWorkload {
     shared(move || workload(kind, opts))
-}
-
-fn run_sharded(cfg: SystemConfig, wl: &Workload, shards: usize) -> Report {
-    System::new(cfg, wl).with_shards(shards).run()
 }
 
 fn server_spec(
@@ -281,28 +277,23 @@ pub fn plan_table2(opts: RunOptions) -> PlannedExperiment {
                 .map(|&u| {
                     (
                         u,
-                        run_sharded(
-                            SystemConfig::segm().with_striping_unit(u * 1024),
-                            &wl,
-                            opts.shards.max(1),
-                        ),
+                        System::new(SystemConfig::segm().with_striping_unit(u * 1024), &wl).run(),
                     )
                 })
                 .min_by_key(|(_, r)| r.io_time)
                 .expect("non-empty grid");
             let unit = best_unit_kb * 1024;
-            let shards = opts.shards.max(1);
-            let for_ = run_sharded(SystemConfig::for_().with_striping_unit(unit), &wl, shards);
-            let segm_hdc = run_sharded(
+            let for_ = System::new(SystemConfig::for_().with_striping_unit(unit), &wl).run();
+            let segm_hdc = System::new(
                 SystemConfig::segm().with_hdc(HDC).with_striping_unit(unit),
                 &wl,
-                shards,
-            );
-            let for_hdc = run_sharded(
+            )
+            .run();
+            let for_hdc = System::new(
                 SystemConfig::for_().with_hdc(HDC).with_striping_unit(unit),
                 &wl,
-                shards,
-            );
+            )
+            .run();
             JobOutput::new()
                 .metric("best_unit_kb", best_unit_kb as f64)
                 .metric("for_improvement", for_.improvement_over(&segm))

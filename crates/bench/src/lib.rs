@@ -1,8 +1,8 @@
 //! # forhdc-bench
 //!
 //! The reproduction harness: one runner per table and figure of the
-//! paper's evaluation (§6), shared between the `repro` binary and the
-//! Criterion benchmarks.
+//! paper's evaluation (§6), shared between the `repro` and `perf`
+//! binaries.
 //!
 //! Every experiment returns a [`Table`] whose rows mirror the series
 //! the paper plots; the binary prints it and writes a CSV next to it.
@@ -51,9 +51,6 @@ pub struct JobMode {
     pub trace: Option<TraceSpec>,
     /// Run under the invariant auditor (panics on violation).
     pub check: bool,
-    /// Engine shard count (`repro --shards N`); output is
-    /// byte-identical for every value.
-    pub shards: usize,
 }
 
 /// Global run options shared by the experiments.
@@ -74,9 +71,6 @@ pub struct RunOptions {
     /// (`repro --check`). Invariant violations panic the job; the
     /// crash-safe runner records them in the manifest.
     pub check: bool,
-    /// Engine shards per simulation (`repro --shards N`, default 1).
-    /// Deterministic: every shard count produces identical bytes.
-    pub shards: usize,
 }
 
 impl RunOptions {
@@ -94,7 +88,6 @@ impl RunOptions {
         JobMode {
             trace: self.trace(),
             check: self.check,
-            shards: self.shards,
         }
     }
 }
@@ -107,7 +100,6 @@ impl Default for RunOptions {
             trace_dir: None,
             trace_sample_ms: 100,
             check: false,
-            shards: 1,
         }
     }
 }

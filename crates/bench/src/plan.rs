@@ -117,15 +117,12 @@ pub fn sim_job(
 ) -> SimJob {
     let wl = wl.clone();
     let check = mode.check;
-    let shards = mode.shards.max(1);
     match mode.trace {
         None => SimJob::new(spec, move || {
             let report = if check {
-                System::new_checked(cfg(), wl.get())
-                    .with_shards(shards)
-                    .run()
+                System::new_checked(cfg(), wl.get()).run()
             } else {
-                System::new(cfg(), wl.get()).with_shards(shards).run()
+                System::new(cfg(), wl.get()).run()
             };
             report_metrics(&report)
         }),
@@ -141,11 +138,9 @@ pub fn sim_job(
                         NoFaults,
                         FullAudit::new(),
                     )
-                    .with_shards(shards)
                     .run_traced()
                 } else {
                     System::new_traced(sys_cfg, wl.get(), forhdc_trace::MemTracer::new())
-                        .with_shards(shards)
                         .run_traced()
                 };
                 // A panic here is caught by the runner and recorded as

@@ -216,5 +216,15 @@ mod cli {
             .output()
             .expect("spawn repro");
         assert_eq!(out.status.code(), Some(2));
+
+        // Any other flag is rejected, not taken for an experiment id.
+        let out = repro()
+            .args(["fig3", "--shards", "4"])
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(2));
+        assert!(String::from_utf8(out.stderr)
+            .unwrap()
+            .contains("unknown argument"));
     }
 }

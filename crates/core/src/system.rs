@@ -392,111 +392,6 @@ impl std::fmt::Debug for DiskState {
     }
 }
 
-/// Disk-local outcome of starting the next queued op (the part of
-/// `start_next` that touches only [`DiskState`]).
-struct ServiceStart {
-    /// When the media operation completes.
-    done: SimTime,
-    /// Queueing delay of the op that just started (for the trace).
-    wait: SimDuration,
-    /// Bitmap-scan cost charged on top of the mechanical time (for the
-    /// trace's overhead slot).
-    extra: SimDuration,
-}
-
-/// What one media completion asks the host to do: the only effects of
-/// a fault-free [`advance_media`] that escape the disk. The host
-/// commits these in global event order, which is what makes the
-/// sharded engine's output byte-identical to the serial engine's.
-struct MediaStep {
-    /// `(token, payload bytes)` of a host request whose demanded blocks
-    /// must now cross the bus. `None` for flush write-backs.
-    bus: Option<(u64, u64)>,
-    /// Completion time of the next op the disk just started, if its
-    /// queue was non-empty.
-    next: Option<SimTime>,
-}
-
-/// Retires a completed media op on its disk: records the service in
-/// the disk stats and installs the transferred run in the controller
-/// cache. Shared verbatim by the serial and sharded completion paths.
-#[inline]
-fn retire_op(d: &mut DiskState, op: &CurrentOp) {
-    let ra = op.total - op.requested;
-    match op.kind {
-        ReadWrite::Read => d.stats.record_op(&op.timing, op.total as u64, 0, ra as u64),
-        ReadWrite::Write => d.stats.record_op(&op.timing, 0, op.total as u64, 0),
-    }
-    d.ctl
-        .on_media_complete(op.kind, op.start, op.total, op.requested);
-}
-
-/// Pops and services the next queued op on `d` — the disk-local half
-/// of `start_next`. Marks the disk busy, installs the new current op,
-/// and reports when its media phase completes; `None` when the queue
-/// is empty.
-#[inline]
-fn service_next(
-    d: &mut DiskState,
-    now: SimTime,
-    scan_cost: SimDuration,
-    is_for: bool,
-) -> Option<ServiceStart> {
-    debug_assert!(!d.busy);
-    let op = d.sched.pop_next(d.mech.head_cylinder())?;
-    d.stats.note_queue_depth(d.sched.len(), now);
-    let timing = d.mech.service(op.kind, op.start, op.nblocks, now);
-    // Charge the FOR bitmap scan: one bit per block examined.
-    let extra = if is_for && op.kind.is_read() {
-        scan_cost * (op.nblocks as u64 + 1)
-    } else {
-        SimDuration::ZERO
-    };
-    let wait = now.since(op.queued_at);
-    d.busy = true;
-    d.busy_since = now;
-    d.current = Some(CurrentOp {
-        token: op.token,
-        kind: op.kind,
-        start: op.start,
-        total: op.nblocks,
-        requested: op.requested,
-        timing,
-        attempt: op.attempt,
-    });
-    Some(ServiceStart {
-        done: now + timing.total() + extra,
-        wait,
-        extra,
-    })
-}
-
-/// One fault-free media completion, disk-local part only: retire the
-/// finished op and start the next one. Safe to run concurrently for
-/// distinct disks — it touches nothing but `d`. The returned
-/// [`MediaStep`] carries the host-side effects for ordered commit.
-fn advance_media(
-    d: &mut DiskState,
-    now: SimTime,
-    scan_cost: SimDuration,
-    is_for: bool,
-    block_bytes: u64,
-) -> MediaStep {
-    let op = d.current.take().expect("media completion without an op");
-    d.busy = false;
-    d.busy_accum += now.since(d.busy_since);
-    retire_op(d, &op);
-    // Only the demanded payload of a host request crosses the bus;
-    // read-ahead stays in the controller cache, flush write-backs move
-    // cache -> media only, and rebuild legs use the pair's copy path
-    // (rebuild disables the windowed engine anyway, so the guard is
-    // belt-and-braces here).
-    let bus =
-        (op.token < REBUILD_TOKEN_BASE).then(|| (op.token, op.requested as u64 * block_bytes));
-    let next = service_next(d, now, scan_cost, is_for).map(|s| s.done);
-    MediaStep { bus, next }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct PendingReq {
     stream: StreamId,
@@ -577,12 +472,6 @@ pub struct System<T: Tracer = NullTracer, F: FaultModel = NoFaults, A: Auditor =
     /// Reusable buffer for striping splits (no per-request
     /// allocation on the issue path).
     split_buf: Vec<forhdc_sim::request::DiskExtent>,
-    /// Number of engine shards (see [`System::with_shards`]). `1`
-    /// selects the plain serial event loop.
-    shards: usize,
-    /// Scratch buffer for the window gather, reused across windows so
-    /// the hot loop stays allocation-free.
-    win_buf: Vec<(DiskId, SimTime)>,
     /// Round-robin read-split state: per virtual disk, whether the odd
     /// member serves the next read (mirrored arrays only).
     rr_next: Vec<bool>,
@@ -944,8 +833,6 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
             coop_hits: 0,
             flush_buf: Vec::new(),
             split_buf: Vec::new(),
-            shards: 1,
-            win_buf: Vec::new(),
             rr_next: if mirrored {
                 vec![false; virtual_disks as usize]
             } else {
@@ -956,19 +843,6 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
             rebuild_next: 0,
             rebuild_pace_at: SimTime::ZERO,
         }
-    }
-
-    /// Selects the sharded event engine: per-disk media advancement in
-    /// conservative lookahead windows, merged deterministically at
-    /// window boundaries. Every output — report, CSVs, trace, digest —
-    /// is byte-identical to the serial engine for any `n` (enforced by
-    /// the determinism test matrix); `n = 1` (the default) runs the
-    /// plain serial loop. Shards engage only on fault-free, untraced,
-    /// unaudited runs; otherwise every event is a potential cross-disk
-    /// interaction point and the engine serializes itself.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n.max(1);
-        self
     }
 
     /// Attaches a host HDC command stream (victim-cache mode, §5):
@@ -1036,22 +910,7 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
                     .schedule_lane(lane, SimTime::ZERO + rb.start, Event::RebuildTick);
             }
         }
-        // The sharded engine only engages on fault-free, untraced,
-        // unaudited runs without a rebuild: tracing orders every
-        // emission globally, and faults/audits/rebuild copy legs can
-        // couple disks at any event, so with any of them attached every
-        // event is an interaction point and the conservative window
-        // degenerates to the serial loop anyway.
-        let windowed = self.shards > 1
-            && !self.tracer.enabled()
-            && !self.faults.enabled()
-            && !self.auditor.enabled()
-            && self.cfg.rebuild.is_none();
-        loop {
-            if windowed && self.run_window() {
-                continue;
-            }
-            let Some(fired) = self.queue.pop() else { break };
+        while let Some(fired) = self.queue.pop() {
             if self.auditor.enabled() {
                 self.auditor.observe_event(fired.time.as_nanos());
             }
@@ -1411,169 +1270,52 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
                 return;
             }
         }
-        let scan_cost = self.cfg.array.disk.bitmap_scan_per_block;
-        let is_for = self.cfg.read_ahead.needs_bitmap();
         let d = &mut self.disks[disk.as_usize()];
-        let Some(started) = service_next(d, now, scan_cost, is_for) else {
+        debug_assert!(!d.busy);
+        let Some(op) = d.sched.pop_next(d.mech.head_cylinder()) else {
             return;
         };
+        d.stats.note_queue_depth(d.sched.len(), now);
+        let timing = d.mech.service(op.kind, op.start, op.nblocks, now);
+        // Charge the FOR bitmap scan: one bit per block examined.
+        let extra = if self.cfg.read_ahead.needs_bitmap() && op.kind.is_read() {
+            self.cfg.array.disk.bitmap_scan_per_block * (op.nblocks as u64 + 1)
+        } else {
+            SimDuration::ZERO
+        };
+        d.busy = true;
+        d.busy_since = now;
+        d.current = Some(CurrentOp {
+            token: op.token,
+            kind: op.kind,
+            start: op.start,
+            total: op.nblocks,
+            requested: op.requested,
+            timing,
+            attempt: op.attempt,
+        });
         if self.tracer.enabled() {
-            let op = d.current.as_ref().expect("service_next set current");
             self.tracer.emit(TraceEvent::Media {
                 t: now.as_nanos(),
                 req: op.token,
                 disk: disk.index(),
-                wait: started.wait.as_nanos(),
-                seek: op.timing.seek.as_nanos(),
-                rotation: op.timing.rotation.as_nanos(),
-                transfer: op.timing.transfer.as_nanos(),
+                wait: now.since(op.queued_at).as_nanos(),
+                seek: timing.seek.as_nanos(),
+                rotation: timing.rotation.as_nanos(),
+                transfer: timing.transfer.as_nanos(),
                 // Bitmap-scan cost rides in the overhead slot: it is
                 // controller work charged before the media moves.
-                overhead: (op.timing.overhead + started.extra).as_nanos(),
-                nblocks: op.total,
-                read_ahead: op.total - op.requested,
+                overhead: (timing.overhead + extra).as_nanos(),
+                nblocks: op.nblocks,
+                read_ahead: op.nblocks - op.requested,
                 write: op.kind.is_write(),
             });
         }
-        self.queue
-            .schedule_lane(disk.as_usize(), started.done, Event::MediaDone { disk });
-    }
-
-    /// Attempts one conservative lookahead window: a maximal batch of
-    /// pending media completions that provably cannot interact — each
-    /// fires no later than any queued host event and no later than
-    /// anything the window itself will schedule (bus sub-completions
-    /// predicted on a cloned [`BusModel`], next media ops bounded below
-    /// by [`DiskMechanics::min_service`]). The batch advances disk
-    /// state per shard — safely in parallel, since each completion
-    /// touches only its own disk — and the host effects are then
-    /// committed in the window's pop order, which is exactly the order
-    /// the serial engine would have applied them. Ties at the guard are
-    /// safe: events the window schedules get fresh (larger) sequence
-    /// numbers, so an already-queued completion at the same instant
-    /// still fires first, as it would serially.
-    ///
-    /// Returns `false` when the next pending event is not a media
-    /// completion; the caller then pops it on the serial path.
-    fn run_window(&mut self) -> bool {
-        let ndisks = self.disks.len();
-        let block_bytes = self.cfg.array.disk.block_bytes() as u64;
-        let mut window = std::mem::take(&mut self.win_buf);
-        window.clear();
-        let mut bus_sim = self.bus.clone();
-        let mut guard: Option<SimTime> = None;
-        while let Some((t, Some(lane))) = self.queue.peek_source() {
-            if lane >= ndisks || guard.is_some_and(|g| t > g) {
-                break;
-            }
-            let fired = self.queue.pop().expect("peeked event vanished");
-            debug_assert!(matches!(fired.event, Event::MediaDone { .. }));
-            let d = &self.disks[lane];
-            let op = d.current.as_ref().expect("media completion without an op");
-            if op.token < REBUILD_TOKEN_BASE {
-                // This completion will move its payload over the shared
-                // bus; its sub-completion lands at the predicted slot
-                // end and must stay outside the window.
-                let end = bus_sim.reserve(t, op.requested as u64 * block_bytes).end;
-                guard = Some(guard.map_or(end, |g| g.min(end)));
-            }
-            let floor = t + d.mech.min_service();
-            guard = Some(guard.map_or(floor, |g| g.min(floor)));
-            window.push((DiskId::new(lane as u16), t));
-        }
-        if window.is_empty() {
-            self.win_buf = window;
-            return false;
-        }
-        let shards = self.shards;
-        // Worth fanning out only when the window spans several shards
-        // AND the host has real parallelism to run them on. Otherwise
-        // replay the popped completions through the serial handler in
-        // pop order — by the window invariant that is exactly the
-        // serial execution, with zero partitioning overhead.
-        let mut occupied = 0u64;
-        for &(disk, _) in &window {
-            occupied |= 1 << (disk.as_usize() % shards.min(64));
-        }
-        // `available_parallelism` is a syscall — probe it once, not
-        // once per window.
-        static MULTI_CORE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        let spawn = occupied.count_ones() > 1
-            && *MULTI_CORE
-                .get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1));
-        if !spawn {
-            for &(disk, t) in &window {
-                self.media_done(disk, t);
-            }
-            self.win_buf = window;
-            return true;
-        }
-        let scan_cost = self.cfg.array.disk.bitmap_scan_per_block;
-        let is_for = self.cfg.read_ahead.needs_bitmap();
-        // Partition by shard (disk index mod shard count). A disk holds
-        // at most one outstanding media op, so it appears at most once
-        // per window and hands its mutable state to exactly one shard.
-        let mut work: Vec<Vec<(usize, SimTime, &mut DiskState)>> =
-            (0..shards).map(|_| Vec::new()).collect();
-        {
-            let mut refs: Vec<Option<&mut DiskState>> = self.disks.iter_mut().map(Some).collect();
-            for (widx, &(disk, t)) in window.iter().enumerate() {
-                let di = disk.as_usize();
-                let d = refs[di].take().expect("disk appears twice in one window");
-                work[di % shards].push((widx, t, d));
-            }
-        }
-        let mut steps: Vec<Option<MediaStep>> = Vec::new();
-        steps.resize_with(window.len(), || None);
-        let mut busy: Vec<_> = work.into_iter().filter(|w| !w.is_empty()).collect();
-        if busy.len() == 1 {
-            // The whole window landed on one shard after all: advance
-            // it inline.
-            for (widx, t, d) in busy.pop().expect("non-empty batch list") {
-                steps[widx] = Some(advance_media(d, t, scan_cost, is_for, block_bytes));
-            }
-        } else {
-            // Fan the shard batches out; the first runs on this thread.
-            let local = busy.remove(0);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = busy
-                    .into_iter()
-                    .map(|batch| {
-                        s.spawn(move || {
-                            batch
-                                .into_iter()
-                                .map(|(widx, t, d)| {
-                                    (widx, advance_media(d, t, scan_cost, is_for, block_bytes))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for (widx, t, d) in local {
-                    steps[widx] = Some(advance_media(d, t, scan_cost, is_for, block_bytes));
-                }
-                for h in handles {
-                    for (widx, step) in h.join().expect("shard worker panicked") {
-                        steps[widx] = Some(step);
-                    }
-                }
-            });
-        }
-        // Deterministic merge: commit host effects in the window's pop
-        // order, so bus slots and event sequence numbers come out
-        // exactly as the serial engine assigns them.
-        for (widx, &(disk, t)) in window.iter().enumerate() {
-            let step = steps[widx].take().expect("window step missing");
-            if let Some((token, bytes)) = step.bus {
-                self.reserve_bus_for(token, disk.index(), bytes, t, 0);
-            }
-            if let Some(done) = step.next {
-                self.queue
-                    .schedule_lane(disk.as_usize(), done, Event::MediaDone { disk });
-            }
-        }
-        self.win_buf = window;
-        true
+        self.queue.schedule_lane(
+            disk.as_usize(),
+            now + timing.total() + extra,
+            Event::MediaDone { disk },
+        );
     }
 
     fn media_done(&mut self, disk: DiskId, now: SimTime) {
@@ -1591,7 +1333,14 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
             self.start_next(disk, now);
             return;
         }
-        retire_op(&mut self.disks[disk.as_usize()], &op);
+        let d = &mut self.disks[disk.as_usize()];
+        let ra = op.total - op.requested;
+        match op.kind {
+            ReadWrite::Read => d.stats.record_op(&op.timing, op.total as u64, 0, ra as u64),
+            ReadWrite::Write => d.stats.record_op(&op.timing, 0, op.total as u64, 0),
+        }
+        d.ctl
+            .on_media_complete(op.kind, op.start, op.total, op.requested);
         if self.auditor.enabled() {
             // The cache insert/evict audit point: `on_media_complete`
             // just installed the transferred run.
@@ -2233,70 +1982,6 @@ mod tests {
         assert_eq!(a.cache.block_hits, b.cache.block_hits);
     }
 
-    /// The tentpole guarantee: every shard count produces the same
-    /// report as the serial engine, field for field. `Report`'s Debug
-    /// rendering covers every counter and every float (Rust's float
-    /// formatting round-trips, so equal strings mean equal bits).
-    #[test]
-    fn sharded_engine_matches_serial_exactly() {
-        for (policy, hdc) in [
-            (SystemConfig::for_(), 0u64),
-            (SystemConfig::segm(), 0),
-            (SystemConfig::for_(), 2 * 1024 * 1024),
-        ] {
-            let wl = small_wl(7);
-            let cfg = policy.with_hdc(hdc);
-            let base = format!("{:?}", System::new(cfg.clone(), &wl).run());
-            for shards in [2usize, 3, 4, 8] {
-                let got = format!(
-                    "{:?}",
-                    System::new(cfg.clone(), &wl).with_shards(shards).run()
-                );
-                assert_eq!(base, got, "shards={shards} diverged from serial");
-            }
-        }
-    }
-
-    /// Sharding must stay transparent in every observation mode:
-    /// traced runs compare full JSONL transcripts, checked runs audit
-    /// every invariant, faulted runs compare reports and fault
-    /// counters. (In all three the conservative window collapses to
-    /// the serial path — every event is a potential interaction point
-    /// — and this matrix pins that behavior down.)
-    #[test]
-    fn shard_determinism_matrix() {
-        use forhdc_trace::MemTracer;
-        let wl = small_wl(13);
-        for shards in [1usize, 2, 4] {
-            // Traced: byte-identical event stream.
-            let (r1, t1) =
-                System::new_traced(SystemConfig::for_(), &wl, MemTracer::new()).run_traced();
-            let (r2, t2) = System::new_traced(SystemConfig::for_(), &wl, MemTracer::new())
-                .with_shards(shards)
-                .run_traced();
-            assert_eq!(t1.to_jsonl(), t2.to_jsonl(), "trace diverged at {shards}");
-            assert_eq!(format!("{r1:?}"), format!("{r2:?}"));
-            // Checked: every audit invariant holds under sharding.
-            let rc = System::new_checked(SystemConfig::for_(), &wl)
-                .with_shards(shards)
-                .run();
-            assert_eq!(rc.requests, r1.requests);
-            // Faulted: deterministic fault bookkeeping.
-            let fcfg = FaultConfig::new(42).with_media_rates(1e-3, 1e-3);
-            let fa =
-                System::new_faulted(SystemConfig::for_(), &wl, SeededFaults::new(fcfg.clone()))
-                    .run();
-            let fb = System::new_faulted(SystemConfig::for_(), &wl, SeededFaults::new(fcfg))
-                .with_shards(shards)
-                .run();
-            assert_eq!(
-                format!("{fa:?}"),
-                format!("{fb:?}"),
-                "faulted diverged at {shards}"
-            );
-        }
-    }
-
     #[test]
     fn for_beats_blind_on_small_files() {
         let wl = small_wl(3);
@@ -2621,25 +2306,6 @@ mod tests {
             "paced copy overshot: {} blocks vs budget {budget:.0}",
             slow.faults.rebuilt_blocks
         );
-    }
-
-    #[test]
-    fn rebuild_matches_across_shard_counts() {
-        // A configured rebuild serializes the windowed engine, so any
-        // shard count must reproduce the serial run byte-for-byte.
-        let wl = small_wl(20);
-        let rb = RebuildConfig {
-            disk: 0,
-            start: SimDuration::from_millis(10),
-            rate_bytes_per_sec: 8 << 20,
-            chunk_blocks: 32,
-            total_blocks: 2048,
-        };
-        let cfg = SystemConfig::for_().with_mirroring().with_rebuild(rb);
-        let serial = System::new(cfg.clone(), &wl).run();
-        let sharded = System::new(cfg, &wl).with_shards(8).run();
-        assert_reports_identical(&serial, &sharded);
-        assert!(serial.faults.rebuilt_blocks > 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A sharded event calendar: per-lane FIFO queues plus a fallback heap,
+//! A laned event calendar: per-lane FIFO queues plus a fallback heap,
 //! popping in exactly the order of [`crate::engine::EventQueue`].
 //!
 //! The full-system simulation schedules almost every event into a
@@ -22,11 +22,6 @@
 //! the scan finds the global one — the pop order is bit-for-bit the
 //! heap's order for any assignment of events to lanes (property-tested
 //! against [`crate::engine::EventQueue`]).
-//!
-//! The lanes are also the seam the sharded engine parallelizes along:
-//! lane `d` *is* disk `d`'s media timeline, so the conservative window
-//! protocol (DESIGN.md §6.7) reads lane heads directly to find which
-//! disks may advance independently.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -49,11 +44,6 @@ const fn key_of(time_ns: u64, seq: u64) -> u128 {
 #[inline]
 const fn time_of(key: u128) -> u64 {
     (key >> 64) as u64
-}
-
-#[inline]
-const fn seq_of(key: u128) -> u64 {
-    key as u64
 }
 
 #[derive(Debug)]
@@ -254,44 +244,6 @@ impl<E> LaneCalendar<E> {
         })
     }
 
-    /// The `(time, lane)` of the earliest pending event — `lane` is
-    /// `None` for a heap (non-lane) event. Does not advance the clock.
-    /// The sharded engine's window gather reads this to decide whether
-    /// the next event is a disk-lane event it may batch.
-    pub fn peek_source(&self) -> Option<(SimTime, Option<usize>)> {
-        let slot = self.argmin()?;
-        let t = time_of(self.heads[slot]);
-        let lane = if slot == self.heap_slot() {
-            None
-        } else {
-            Some(slot)
-        };
-        Some((SimTime::from_nanos(t), lane))
-    }
-
-    /// The firing time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek_source().map(|(t, _)| t)
-    }
-
-    /// The firing time of lane `l`'s head entry, if any.
-    pub fn peek_lane(&self, lane: usize) -> Option<SimTime> {
-        let key = self.heads[lane];
-        (key != EMPTY).then(|| SimTime::from_nanos(time_of(key)))
-    }
-
-    /// The earliest pending `(time, seq)` *excluding* lanes
-    /// `0..first_excluded` — the host-event horizon the conservative
-    /// window protocol bounds disk-lane batches by.
-    pub fn horizon_excluding(&self, first_excluded: usize) -> Option<(SimTime, u64)> {
-        self.heads[first_excluded..]
-            .iter()
-            .copied()
-            .filter(|&k| k != EMPTY)
-            .min()
-            .map(|k| (SimTime::from_nanos(time_of(k)), seq_of(k)))
-    }
-
     /// The current simulated time: the firing time of the most
     /// recently popped event, or [`SimTime::ZERO`] before any pop.
     pub fn now(&self) -> SimTime {
@@ -365,34 +317,5 @@ mod tests {
         c.schedule_lane(0, SimTime::from_nanos(10), ());
         c.pop();
         c.schedule_lane(0, SimTime::from_nanos(5), ());
-    }
-
-    #[test]
-    fn peek_source_identifies_lane_vs_heap() {
-        let mut c = LaneCalendar::with_lanes(2);
-        c.schedule_lane(1, SimTime::from_nanos(9), ());
-        assert_eq!(c.peek_source(), Some((SimTime::from_nanos(9), Some(1))));
-        c.schedule(SimTime::from_nanos(3), ());
-        assert_eq!(c.peek_source(), Some((SimTime::from_nanos(3), None)));
-        assert_eq!(c.peek_time(), Some(SimTime::from_nanos(3)));
-        assert_eq!(c.peek_lane(1), Some(SimTime::from_nanos(9)));
-        assert_eq!(c.peek_lane(0), None);
-        assert_eq!(c.now(), SimTime::ZERO);
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn horizon_excludes_disk_lanes() {
-        let mut c = LaneCalendar::with_lanes(3);
-        c.schedule_lane(0, SimTime::from_nanos(5), ()); // disk lane
-        c.schedule_lane(2, SimTime::from_nanos(12), ()); // host lane
-        c.schedule(SimTime::from_nanos(20), ());
-        // Horizon over lanes >= 2 plus the heap ignores the disk lane.
-        assert_eq!(c.horizon_excluding(2), Some((SimTime::from_nanos(12), 1)));
-        assert_eq!(c.horizon_excluding(3), Some((SimTime::from_nanos(20), 2)));
-        c.pop();
-        c.pop();
-        c.pop();
-        assert_eq!(c.horizon_excluding(0), None);
     }
 }

@@ -12,7 +12,7 @@
 //!   [`SimDuration`]) with deterministic ordering.
 //! * [`engine`] — a calendar event queue with (time, sequence)
 //!   tie-breaking ([`EventQueue`]).
-//! * [`calendar`] — the sharded per-lane calendar with identical pop
+//! * [`calendar`] — the per-lane calendar the engine runs on: identical pop
 //!   order and O(lanes) operations ([`LaneCalendar`]).
 //! * [`geometry`] — physical-block → (cylinder, surface, sector) mapping
 //!   ([`DiskGeometry`]).

@@ -163,16 +163,6 @@ impl DiskMechanics {
         }
     }
 
-    /// A lower bound on the service time of *any* operation on this
-    /// mechanism: the fixed controller overhead. Seek, rotation, and
-    /// transfer only ever add to it. The sharded engine uses this as
-    /// its conservative lookahead: a media completion at time `t`
-    /// cannot schedule the disk's next completion before
-    /// `t + min_service()`.
-    pub fn min_service(&self) -> SimDuration {
-        self.overhead
-    }
-
     /// Seek distance (cylinders) from the current head position to
     /// `block`, without moving the head.
     pub fn seek_distance_to(&self, block: PhysBlock) -> u32 {
