@@ -4,18 +4,25 @@
 //! Each physical disk pairs the simulator's [`DiskController`] (the
 //! read-ahead cache, the HDC region, and the FOR bitmap decision —
 //! unchanged from the reproduction) with an open image file and a
-//! *page store* holding the bytes of every resident block. The
-//! controller decides — cache hit, or a media run extended by
-//! read-ahead — and the engine acts: hits copy out of the page store,
-//! media runs are real file reads timed into a per-disk service
-//! histogram. Every disk sits behind its own mutex (one head per
-//! disk), so requests to different disks proceed in parallel while the
-//! single-threaded cache structures stay sound.
+//! *page store* holding the bytes of resident blocks. The controller
+//! decides — cache hit, or a media run extended by read-ahead — and the
+//! engine acts: media runs are real file reads timed into a per-disk
+//! service histogram, hits copy out of the page store. Every disk sits
+//! behind its own mutex (one head per disk), so requests to different
+//! disks proceed in parallel while the single-threaded cache structures
+//! stay sound.
 //!
-//! The read path allocates nothing per request: the page store is a
-//! slab of block-sized frames (see [`crate::store`]), a media run is one
-//! `pread` into a per-disk scratch buffer, and the bytes go straight
-//! into the caller's buffer.
+//! The store fills on hits, not on misses. A media run is one `pread`
+//! straight into the caller's buffer; the demanded prefix stays and the
+//! read-ahead bytes are dropped, so a miss copies nothing. A hit copies
+//! the pages the store holds and reads each run of pages it lacks —
+//! read-ahead blocks, HDC pins, pages pruned under churn — from the
+//! image into the caller's buffer with one `pread`, then keeps them in
+//! the store. Such a fill is not a media op: the controller already
+//! counted the blocks' media traffic, so fills consult no fault
+//! schedule and stay out of the media counters. The store therefore
+//! holds bytes only for resident blocks that have been hit, and the
+//! read path allocates nothing per request (see [`crate::store`]).
 
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
@@ -113,40 +120,42 @@ struct DiskState {
     ctl: DiskController,
     file: File,
     store: PageStore,
-    /// Media runs land here; it grows to the longest run and is never
-    /// zero-filled again.
-    scratch: Vec<u8>,
 }
 
 impl DiskState {
-    /// Reads `nblocks` blocks at `start` from the image into the
-    /// scratch buffer with one `pread`; returns them.
-    fn load(&mut self, start: PhysBlock, nblocks: u32, bs: u32) -> std::io::Result<&[u8]> {
-        let n = nblocks as usize * bs as usize;
-        if self.scratch.len() < n {
-            self.scratch.resize(n, 0);
+    /// Appends the `nblocks` resident blocks at `start` to `out`: pages
+    /// the store holds are copied, and each run of pages it lacks is
+    /// read from the image into `out` with one `pread` and then kept in
+    /// the store. Returns the blocks filled.
+    fn copy_hit(
+        &mut self,
+        start: PhysBlock,
+        nblocks: u32,
+        bs: u32,
+        out: &mut Vec<u8>,
+    ) -> std::io::Result<u64> {
+        let mut b = start.index();
+        let end = b + nblocks as u64;
+        let mut filled = 0;
+        while b < end {
+            if let Some(page) = self.store.get(b) {
+                out.extend_from_slice(page);
+                b += 1;
+                continue;
+            }
+            let run = (b + 1..end)
+                .find(|&k| self.store.get(k).is_some())
+                .unwrap_or(end)
+                - b;
+            let at = out.len();
+            read_blocks(&self.file, b, run as u32, bs, out)?;
+            for (i, page) in out[at..].chunks_exact(bs as usize).enumerate() {
+                self.store.insert(b + i as u64, page);
+            }
+            filled += run;
+            b += run;
         }
-        let buf = &mut self.scratch[..n];
-        self.file.read_exact_at(buf, start.index() * bs as u64)?;
-        Ok(buf)
-    }
-
-    /// Reads one block from the image straight into its page-store
-    /// frame; returns the page.
-    fn load_page(&mut self, block: PhysBlock, bs: u32) -> std::io::Result<&[u8]> {
-        let file = &self.file;
-        self.store.fill(block.index(), |page| {
-            file.read_exact_at(page, block.index() * bs as u64)
-        })
-    }
-
-    /// Copies the `nblocks` blocks the last [`DiskState::load`] read at
-    /// `start` into the page store.
-    fn keep_loaded(&mut self, start: PhysBlock, nblocks: u32, bs: u32) {
-        let n = nblocks as usize * bs as usize;
-        for (i, page) in self.scratch[..n].chunks_exact(bs as usize).enumerate() {
-            self.store.insert(start.index() + i as u64, page);
-        }
+        Ok(filled)
     }
 
     /// Drops store pages the controller no longer holds, once the
@@ -181,8 +190,11 @@ pub struct DiskSnapshot {
     pub read_ahead_blocks: u64,
     /// Blocks the page store currently holds.
     pub store_resident: usize,
-    /// Cache hits whose bytes had to fall back to the image (store
-    /// pruned between decision and copy; should stay 0).
+    /// Hit blocks the page store lacked and filled from the image on
+    /// that hit: read-ahead and HDC blocks on their first hit, and
+    /// pages pruned under churn. Never more than `store_hits`; a
+    /// working set that fits the cache stops adding to it after one
+    /// pass of hits.
     pub store_fallbacks: u64,
     /// Demanded blocks served from the page store.
     pub store_hits: u64,
@@ -337,7 +349,6 @@ impl Engine {
                 ctl: DiskController::new(&cfg, policy, hdc_blocks, bitmap),
                 file,
                 store: PageStore::new(meta.block_bytes),
-                scratch: Vec::new(),
             }));
         }
         let metrics = Arc::new(ServeMetrics::new(meta.disks));
@@ -361,7 +372,7 @@ impl Engine {
             rebuild_mbps: opts.rebuild_mbps,
         };
         if hdc_blocks > 0 {
-            engine.pin_hottest()?;
+            engine.pin_hottest();
         }
         Ok(engine)
     }
@@ -548,8 +559,9 @@ impl Engine {
     /// Fills every disk's HDC region with the hottest files' blocks,
     /// walking the popularity permutation (a pure function of the
     /// image seed — the live analogue of the paper's host-side
-    /// profile) and loading the pinned bytes from the images.
-    fn pin_hottest(&self) -> Result<(), String> {
+    /// profile). Only the controllers learn the pins; the page store
+    /// fills on each pinned block's first hit.
+    fn pin_hottest(&self) {
         let perm = rank_to_file(self.meta.files, self.meta.seed);
         let mut full = vec![false; self.disks.len()];
         let mut full_count = 0usize;
@@ -567,10 +579,7 @@ impl Engine {
                         continue;
                     }
                     let mut d = self.disks[di].lock().expect("disk lock poisoned");
-                    if d.ctl.pin(phys) {
-                        d.load_page(phys, self.meta.block_bytes)
-                            .map_err(|e| format!("disk {di}: loading pinned block: {e}"))?;
-                    } else {
+                    if !d.ctl.pin(phys) {
                         full[di] = true;
                         full_count += 1;
                         if full_count == self.disks.len() {
@@ -580,13 +589,13 @@ impl Engine {
                 }
             }
         }
-        Ok(())
     }
 
     /// Serves one file read: validates the range, walks the file's
     /// extents, splits at striping-unit boundaries, and routes each
     /// piece through its disk's controller. Appends exactly
-    /// `nblocks × block_bytes` bytes to `out` on success.
+    /// `nblocks × block_bytes` bytes to `out` on success and leaves it
+    /// as it was on error.
     pub fn read(
         &self,
         file: u32,
@@ -614,6 +623,7 @@ impl Engine {
                     self.meta.file_blocks
                 ))
             })?;
+        let len0 = out.len();
         out.reserve(nblocks as usize * self.meta.block_bytes as usize);
         let m = &self.metrics;
         let req = m.next_req_id();
@@ -639,7 +649,10 @@ impl Engine {
                 let within = cursor.index() % unit;
                 let chunk = (unit - within).min(left) as u32;
                 let (disk, phys) = self.striping.locate(cursor);
-                self.read_extent(disk, phys, chunk, req, t0, out)?;
+                if let Err(e) = self.read_extent(disk, phys, chunk, req, t0, out) {
+                    out.truncate(len0);
+                    return Err(e);
+                }
                 cursor = cursor.offset(chunk as u64);
                 left -= chunk as u64;
             }
@@ -784,19 +797,12 @@ impl Engine {
                     result: ProbeResult::Hit,
                 });
                 m.disk_store_hits_total[di].add(nblocks as u64);
-                for i in 0..nblocks as u64 {
-                    let key = start.index() + i;
-                    if let Some(page) = d.store.get(key) {
-                        out.extend_from_slice(page);
-                    } else {
-                        // The presence structures say resident but the
-                        // bytes were pruned: repair from the image.
-                        m.disk_store_fallbacks_total[di].inc();
-                        let page = d
-                            .load_page(PhysBlock::new(key), bs)
-                            .map_err(|e| self.fault(disk, req, e))?;
-                        out.extend_from_slice(page);
-                    }
+                let filled = d
+                    .copy_hit(start, nblocks, bs, out)
+                    .map_err(|e| self.fault(disk, req, e))?;
+                if filled > 0 {
+                    m.disk_store_fallbacks_total[di].add(filled);
+                    d.prune_store();
                 }
             }
             ControllerDecision::Media {
@@ -839,12 +845,14 @@ impl Engine {
                         self.recover_bad_block(disk, bad, req, t0)?;
                     }
                 }
+                // The whole run lands in `out`; only the demanded
+                // prefix stays (read-ahead fills on its first hit).
+                let at = out.len();
                 let t0 = Instant::now();
-                let run = d
-                    .load(media_start, clipped, bs)
+                read_blocks(&d.file, media_start.index(), clipped, bs, out)
                     .map_err(|e| self.fault(disk, req, e))?;
                 let service_ns = t0.elapsed().as_nanos() as u64;
-                out.extend_from_slice(&run[..nblocks as usize * bs as usize]);
+                out.truncate(at + nblocks as usize * bs as usize);
                 m.disk_service_ns[di].record(service_ns);
                 m.disk_media_reads_total[di].inc();
                 m.disk_media_blocks_total[di].add(clipped as u64);
@@ -865,8 +873,6 @@ impl Engine {
                 });
                 d.ctl
                     .on_media_complete(ReadWrite::Read, media_start, clipped, nblocks);
-                d.keep_loaded(media_start, clipped, bs);
-                d.prune_store();
             }
             ControllerDecision::HdcWriteAbsorbed => {
                 unreachable!("the serving protocol only issues reads")
@@ -989,6 +995,20 @@ impl Engine {
     }
 }
 
+/// Reads `nblocks` blocks at `start` from `file` onto the end of `out`
+/// with one `pread`.
+fn read_blocks(
+    file: &File,
+    start: u64,
+    nblocks: u32,
+    bs: u32,
+    out: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    let at = out.len();
+    out.resize(at + nblocks as usize * bs as usize, 0);
+    file.read_exact_at(&mut out[at..], start * bs as u64)
+}
+
 fn internal(disk: DiskId, e: std::io::Error) -> ReadError {
     ReadError::Internal(format!("disk {}: image read failed: {e}", disk.index()))
 }
@@ -1080,6 +1100,78 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Asserts `out` holds blocks `offset..` of `file`, byte for byte.
+    fn assert_payload(out: &[u8], file: u32, offset: u64) {
+        for (b, page) in out.chunks_exact(4096).enumerate() {
+            let off = offset + b as u64;
+            assert!(
+                page == &block_payload(file, off, 4096)[..],
+                "file {file} block {off}"
+            );
+        }
+    }
+
+    /// Sums one per-disk counter over the snapshot.
+    fn total(snap: &EngineSnapshot, f: impl Fn(&DiskSnapshot) -> u64) -> u64 {
+        snap.disks.iter().map(f).sum()
+    }
+
+    #[test]
+    fn the_store_fills_once_on_the_first_hit() {
+        let (dir, engine) = build("fillonce", ReadAheadKind::For, 0);
+        let mut out = Vec::new();
+        let mut reread = |want_fills: u64| {
+            let before = engine.snapshot();
+            out.clear();
+            engine.read(3, 0, 4, &mut out).unwrap();
+            assert_payload(&out, 3, 0);
+            let after = engine.snapshot();
+            let fills =
+                total(&after, |d| d.store_fallbacks) - total(&before, |d| d.store_fallbacks);
+            assert_eq!(fills, want_fills);
+            (before, after)
+        };
+        // Cold: a media op, and nothing lands in the store.
+        let (before, after) = reread(0);
+        assert!(after.media_ops() > before.media_ops());
+        assert_eq!(total(&after, |d| d.store_resident as u64), 0);
+        // First hit: every block is filled, no media op.
+        let (before, after) = reread(4);
+        assert_eq!(after.media_ops(), before.media_ops());
+        assert_eq!(total(&after, |d| d.store_resident as u64), 4);
+        // Second hit: served from the store alone.
+        let (before, after) = reread(0);
+        assert_eq!(after.media_ops(), before.media_ops());
+        assert_eq!(
+            total(&after, |d| d.store_hits) - total(&before, |d| d.store_hits),
+            4
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn read_ahead_blocks_fill_on_their_first_hit() {
+        let (dir, engine) = build("rafill", ReadAheadKind::BlindBlock, 0);
+        // File f sits on disk f % 2 right after file f - 2, so a blind
+        // read-ahead past file 0 covers file 2.
+        let mut out = Vec::new();
+        engine.read(0, 0, 4, &mut out).unwrap();
+        assert_payload(&out, 0, 0);
+        let cold = engine.snapshot();
+        assert!(cold.disks[0].read_ahead_blocks >= 4);
+        out.clear();
+        engine.read(2, 0, 4, &mut out).unwrap();
+        assert_payload(&out, 2, 0);
+        let warm = engine.snapshot();
+        assert_eq!(warm.media_ops(), cold.media_ops(), "file 2 was read ahead");
+        assert_eq!(warm.extent_hits(), cold.extent_hits() + 1);
+        assert_eq!(
+            total(&warm, |d| d.store_fallbacks) - total(&cold, |d| d.store_fallbacks),
+            4
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn repeat_reads_hit_the_cache() {
         let (dir, engine) = build("hits", ReadAheadKind::For, 0);
@@ -1105,21 +1197,19 @@ mod tests {
         let snap = engine.snapshot();
         let pinned: u32 = snap.disks.iter().map(|d| d.pinned).sum();
         assert!(pinned > 0, "bootstrap must pin blocks");
+        // Pinning reads nothing: the store fills on the first hit.
+        assert!(snap.disks.iter().all(|d| d.store_resident == 0));
         // The hottest file is rank 0 of the shared permutation; its
-        // read must be an HDC hit with no media op.
+        // read must be an HDC hit with no media op, served by a fill.
         let hot = rank_to_file(64, 11)[0];
         let mut out = Vec::new();
         engine.read(hot, 0, 4, &mut out).unwrap();
         let after = engine.snapshot();
         assert_eq!(after.media_ops(), snap.media_ops());
         assert!(after.hdc_read_hits() > snap.hdc_read_hits());
+        assert_eq!(total(&after, |d| d.store_fallbacks), 4);
         assert_eq!(out.len(), 4 * 4096);
-        for off in 0..4u64 {
-            assert_eq!(
-                &out[off as usize * 4096..(off as usize + 1) * 4096],
-                &block_payload(hot, off, 4096)[..]
-            );
-        }
+        assert_payload(&out, hot, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1144,28 +1234,44 @@ mod tests {
         let meta = create_images(&dir, &meta).unwrap();
         let engine = Engine::open(&dir, meta, ReadAheadKind::For, 512).unwrap();
         let mut out = Vec::new();
+        let mut read_verified = |file: u32, offset: u64, nblocks: u32| {
+            out.clear();
+            engine.read(file, offset, nblocks, &mut out).unwrap();
+            assert_payload(&out, file, offset);
+        };
         for pass in 0..3u64 {
             for i in 0..2048u64 {
                 let file = ((i * 7919 + pass * 131) % 2048) as u32;
                 let (offset, nblocks) = if i % 3 == 0 { (1, 2) } else { (0, 4) };
-                out.clear();
-                engine.read(file, offset, nblocks, &mut out).unwrap();
-                for (b, page) in out.chunks_exact(4096).enumerate() {
-                    assert_eq!(
-                        page,
-                        &block_payload(file, offset + b as u64, 4096)[..],
-                        "pass {pass} file {file} block {}",
-                        offset + b as u64
-                    );
-                }
+                read_verified(file, offset, nblocks);
             }
         }
         let snap = engine.snapshot();
         for d in &snap.disks {
-            assert_eq!(d.store_fallbacks, 0, "disk {}", d.disk);
+            assert!(d.store_fallbacks <= d.store_hits, "disk {}", d.disk);
             assert!(d.media_blocks > 4 * 1536, "disk {} barely churned", d.disk);
             assert!(d.store_resident <= 1024 + STORE_PRUNE_SLACK + 256);
         }
+        // The 64 hottest files are pinned, so they fit the cache: once
+        // a pass has hit them, another adds no fill and no media op.
+        let hot = &rank_to_file(2048, 5)[..64];
+        for &file in hot {
+            read_verified(file, 0, 4);
+        }
+        let warm = engine.snapshot();
+        for &file in hot {
+            read_verified(file, 0, 4);
+        }
+        let again = engine.snapshot();
+        assert_eq!(again.media_ops(), warm.media_ops());
+        assert_eq!(
+            total(&again, |d| d.store_fallbacks),
+            total(&warm, |d| d.store_fallbacks)
+        );
+        assert_eq!(
+            total(&again, |d| d.store_hits),
+            total(&warm, |d| d.store_hits) + 64 * 4
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1189,6 +1295,49 @@ mod tests {
             engine.read(0, u64::MAX, 2, &mut out),
             Err(ReadError::Range(_))
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_truncated_image_fails_misses_and_fills_cleanly() {
+        let (dir, engine) = build("truncated", ReadAheadKind::For, 0);
+        let loc = |file| {
+            let logical = engine.map.block_at(FileId::new(file), 0).unwrap();
+            engine.striping.locate(logical)
+        };
+        // Files 61 and 63 are the last two on disk 1; file 1 its first.
+        let ((disk, lost), (disk63, _), (disk1, _)) = (loc(61), loc(63), loc(1));
+        assert_eq!((disk, disk63, disk1), (DiskId::new(1), disk, disk));
+        let mut out = Vec::new();
+        engine.read(63, 0, 4, &mut out).unwrap();
+        // Cut the image at file 61 behind the engine's back.
+        OpenOptions::new()
+            .write(true)
+            .open(DiskMeta::image_path(&dir, disk.index()))
+            .unwrap()
+            .set_len(lost.index() * 4096)
+            .unwrap();
+        let before = engine.snapshot();
+        // File 61 is a miss, file 63 a hit the store must fill: both
+        // are internal errors that leave `out` as it was.
+        let mut out = vec![7u8; 5];
+        for file in [61, 63] {
+            match engine.read(file, 0, 4, &mut out) {
+                Err(ReadError::Internal(m)) => assert!(m.contains("disk 1"), "{m}"),
+                other => panic!("file {file}: want Internal, got {other:?}"),
+            }
+            assert_eq!(out, [7u8; 5], "file {file}");
+        }
+        let after = engine.snapshot();
+        assert_eq!(after.extent_hits(), before.extent_hits() + 1);
+        assert_eq!(
+            total(&after, |d| d.store_fallbacks),
+            total(&before, |d| d.store_fallbacks)
+        );
+        // The intact head of the same image still serves.
+        out.clear();
+        engine.read(1, 0, 4, &mut out).unwrap();
+        assert_payload(&out, 1, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -150,7 +150,7 @@ pub struct ServeMetrics {
     pub disk_store_hits_total: Vec<Arc<Counter>>,
     /// Demanded blocks that had to go to the media.
     pub disk_store_misses_total: Vec<Arc<Counter>>,
-    /// Cache hits whose bytes were pruned and re-read (should stay 0).
+    /// Hit blocks the page store filled from the image.
     pub disk_store_fallbacks_total: Vec<Arc<Counter>>,
     /// Reads served by pinned HDC blocks (collector-style).
     pub disk_hdc_hits_total: Vec<Arc<Counter>>,
@@ -271,7 +271,7 @@ impl ServeMetrics {
         );
         let disk_store_fallbacks_total = r.counter_vec(
             "forhdc_disk_store_fallbacks_total",
-            "Cache hits whose bytes were pruned and re-read from the image",
+            "Hit blocks filled into the page store from the image (first hit or after a prune)",
             "disk",
             &disk_labels,
         );

@@ -1251,6 +1251,46 @@ mod tests {
     }
 
     #[test]
+    fn truncated_image_gets_internal_and_the_connection_serves_on() {
+        let (dir, addr, handle) = spawn_server("truncated");
+        let mut c = TcpStream::connect(addr).unwrap();
+        let (st, text) = request(&mut c, &Request::Meta);
+        assert_eq!(st, ST_OK);
+        let meta = DiskMeta::from_text(std::str::from_utf8(&text).unwrap()).unwrap();
+        // Cut the image holding the last file at that file's first block.
+        let last = meta.files - 1;
+        let logical = meta
+            .layout()
+            .block_at(forhdc_layout::FileId::new(last), 0)
+            .unwrap();
+        let (disk, phys) = meta.striping().locate(logical);
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(DiskMeta::image_path(&dir, disk.index()))
+            .unwrap()
+            .set_len(phys.index() * 4096)
+            .unwrap();
+        let read = |file| Request::Read {
+            file,
+            offset: 0,
+            nblocks: 2,
+        };
+        let (st, msg) = request(&mut c, &read(last));
+        assert_eq!(st, ST_INTERNAL);
+        assert!(std::str::from_utf8(&msg)
+            .unwrap()
+            .contains("image read failed"));
+        let (st, data) = request(&mut c, &read(0));
+        assert_eq!(st, ST_OK);
+        assert_eq!(&data[..4096], &block_payload(0, 0, 4096)[..]);
+        assert_eq!(&data[4096..], &block_payload(0, 1, 4096)[..]);
+        let _ = request(&mut c, &Request::Shutdown);
+        drop(c);
+        handle.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn malformed_frame_gets_bad_request() {
         let (dir, addr, handle) = spawn_server("malformed");
         let mut c = TcpStream::connect(addr).unwrap();

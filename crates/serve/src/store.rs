@@ -1,4 +1,10 @@
-//! The page store: the bytes of every block a disk's controller holds.
+//! The page store: the bytes of the controller-resident blocks a disk
+//! has served as hits.
+//!
+//! The engine fills a page on its block's first hit and never on a
+//! miss, so the store is a subset of what the controller holds; pages
+//! the controller has since evicted are pruned in bulk once the store
+//! outgrows the resident set.
 //!
 //! A slab: a map from block to frame index over an arena of
 //! block-sized frames, plus a free list. Pruned frames go back on the
@@ -6,8 +12,6 @@
 //! churning at a steady resident size allocates nothing. The arena
 //! grows lazily in fixed chunks of frames, so growth never moves the
 //! frames already handed out and an empty store owns no memory.
-
-use std::io;
 
 use forhdc_cache::fx::FxHashMap;
 
@@ -53,22 +57,6 @@ impl PageStore {
     pub(crate) fn insert(&mut self, block: u64, bytes: &[u8]) {
         let f = self.slot(block);
         self.frame_mut(f).copy_from_slice(bytes);
-    }
-
-    /// Reads `block`'s page in place with `read` and returns it. A
-    /// failed read leaves the block out of the store.
-    pub(crate) fn fill(
-        &mut self,
-        block: u64,
-        read: impl FnOnce(&mut [u8]) -> io::Result<()>,
-    ) -> io::Result<&[u8]> {
-        let f = self.slot(block);
-        if let Err(e) = read(self.frame_mut(f)) {
-            self.index.remove(&block);
-            self.free.push(f);
-            return Err(e);
-        }
-        Ok(self.frame(f))
     }
 
     /// Keeps only the blocks `keep` accepts; the others' frames return
@@ -184,29 +172,6 @@ mod tests {
         for b in (0..10u64).step_by(2).chain(100..105) {
             assert_eq!(s.get(b), Some(&page(b)[..]), "block {b}");
         }
-    }
-
-    #[test]
-    fn fill_reads_in_place_and_a_failed_read_leaves_nothing() {
-        let mut s = PageStore::new(BS);
-        let got = s.fill(3, |frame| {
-            frame.copy_from_slice(&page(3));
-            Ok(())
-        });
-        assert_eq!(got.unwrap(), &page(3)[..]);
-        let err = s.fill(4, |_| Err(io::Error::other("boom")));
-        assert!(err.is_err());
-        assert_eq!((s.len(), s.get(4)), (1, None));
-        // The failed read's frame is reused, and an overwrite stays put.
-        s.insert(5, &page(5));
-        s.fill(3, |frame| {
-            frame.copy_from_slice(&page(9));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(s.frames, 2);
-        assert_eq!(s.get(3), Some(&page(9)[..]));
-        assert_eq!(s.get(5), Some(&page(5)[..]));
     }
 
     #[test]
