@@ -11,10 +11,10 @@
 //!   [`forhdc_layout::LayoutBuilder`], every block's payload a pure
 //!   function of `(file, offset)` so any client can verify any byte.
 //! - [`protocol`] — the tiny length-prefixed request/response framing.
-//! - [`engine`] — per-disk [`forhdc_core::DiskController`]s plus a
-//!   slab page store of resident bytes; cache hits copy from memory,
-//!   misses become real (timed) single-`pread` image reads extended by
-//!   the policy's read-ahead.
+//! - [`engine`] — per-disk [`forhdc_core::DiskController`]s in front
+//!   of the image files: one decision path plans each READ as image
+//!   segments, and a transfer moves them — `sendfile` into the socket
+//!   on the server, `pread` into a buffer in [`Engine::read`].
 //! - [`metrics`] — the live telemetry surface: the Prometheus-style
 //!   family set every layer records into, the crash flight recorder,
 //!   and the wall-clock origin (see `forhdc-metrics` and DESIGN.md
@@ -36,9 +36,9 @@ pub mod metrics;
 pub mod protocol;
 pub mod report;
 pub mod server;
-mod store;
+mod zerocopy;
 
-pub use engine::{DiskSnapshot, Engine, EngineSnapshot, LiveOpts, ReadError};
+pub use engine::{DiskSnapshot, Engine, EngineSnapshot, LiveOpts, Plan, ReadError, Segment};
 pub use faults::LiveFaults;
 pub use image::{block_payload, create_images, open_dir, rank_to_file, DiskMeta};
 pub use metrics::{OpKind, ServeMetrics};

@@ -13,7 +13,7 @@
 //! - *event-sourced*: incremented on the hot path by the code that
 //!   observes the event (`add`/`inc`/`record`);
 //! - *collector-style*: owned by a structure behind the disk locks
-//!   (the controller's extent/HDC counters, the page-store size) and
+//!   (the controller's extent/HDC counters, the pinned-block gauge) and
 //!   copied out with `set_total`/`set` whenever the engine snapshots.
 //!
 //! The registry renders Prometheus text exposition; the histograms
@@ -146,12 +146,10 @@ pub struct ServeMetrics {
     pub disk_media_bytes_total: Vec<Arc<Counter>>,
     /// Of the media blocks, speculative read-ahead blocks.
     pub disk_read_ahead_blocks_total: Vec<Arc<Counter>>,
-    /// Demanded blocks served from the in-memory page store.
+    /// Demanded blocks served as controller hits.
     pub disk_store_hits_total: Vec<Arc<Counter>>,
-    /// Demanded blocks that had to go to the media.
+    /// Demanded blocks served by media runs.
     pub disk_store_misses_total: Vec<Arc<Counter>>,
-    /// Hit blocks the page store filled from the image.
-    pub disk_store_fallbacks_total: Vec<Arc<Counter>>,
     /// Reads served by pinned HDC blocks (collector-style).
     pub disk_hdc_hits_total: Vec<Arc<Counter>>,
     /// Extent-level cache lookups (collector-style).
@@ -160,13 +158,12 @@ pub struct ServeMetrics {
     pub disk_extent_hits_total: Vec<Arc<Counter>>,
     /// Blocks pinned in the HDC region (collector-style).
     pub disk_pinned_blocks: Vec<Arc<Gauge>>,
-    /// Blocks the page store holds (collector-style).
-    pub disk_store_resident_blocks: Vec<Arc<Gauge>>,
     /// Requests waiting on or holding each disk's lock.
     pub disk_queue_depth: Vec<Arc<Gauge>>,
     /// Whether each disk is inside an offline window (1) or serving (0).
     pub disk_offline: Vec<Arc<Gauge>>,
-    /// Media service time per disk (wall-clock nanoseconds).
+    /// Media service time per disk (wall-clock nanoseconds): each media
+    /// segment's transfer, `sendfile` or `pread`.
     pub disk_service_ns: Vec<Arc<AtomicHistogram>>,
     /// Mirrored read extents that failed over to the twin after this
     /// member failed (labelled by the *failed* member).
@@ -259,19 +256,13 @@ impl ServeMetrics {
         );
         let disk_store_hits_total = r.counter_vec(
             "forhdc_disk_store_hits_total",
-            "Demanded blocks served from the in-memory page store",
+            "Demanded blocks served as controller hits",
             "disk",
             &disk_labels,
         );
         let disk_store_misses_total = r.counter_vec(
             "forhdc_disk_store_misses_total",
-            "Demanded blocks that went to the media",
-            "disk",
-            &disk_labels,
-        );
-        let disk_store_fallbacks_total = r.counter_vec(
-            "forhdc_disk_store_fallbacks_total",
-            "Hit blocks filled into the page store from the image (first hit or after a prune)",
+            "Demanded blocks served by media runs",
             "disk",
             &disk_labels,
         );
@@ -299,12 +290,6 @@ impl ServeMetrics {
             "disk",
             &disk_labels,
         );
-        let disk_store_resident_blocks = r.gauge_vec(
-            "forhdc_disk_store_resident_blocks",
-            "Blocks the page store currently holds",
-            "disk",
-            &disk_labels,
-        );
         let disk_queue_depth = r.gauge_vec(
             "forhdc_disk_queue_depth",
             "Requests waiting on or holding the disk lock",
@@ -319,7 +304,7 @@ impl ServeMetrics {
         );
         let disk_service_ns = r.histogram_vec(
             "forhdc_disk_service_ns",
-            "Media service time in wall-clock nanoseconds",
+            "Media service time in wall-clock nanoseconds: each media segment's transfer",
             "disk",
             &disk_labels,
         );
@@ -361,12 +346,10 @@ impl ServeMetrics {
             disk_read_ahead_blocks_total,
             disk_store_hits_total,
             disk_store_misses_total,
-            disk_store_fallbacks_total,
             disk_hdc_hits_total,
             disk_extent_lookups_total,
             disk_extent_hits_total,
             disk_pinned_blocks,
-            disk_store_resident_blocks,
             disk_queue_depth,
             disk_offline,
             disk_service_ns,

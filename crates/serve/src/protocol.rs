@@ -382,6 +382,14 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Option<Request>, FrameError> {
 /// Bytes of a response header: `len:u32 status:u8`.
 pub const RESPONSE_HEADER: usize = 5;
 
+/// The header of a response carrying `payload_len` bytes after its
+/// status byte.
+pub fn response_header(status: u8, payload_len: usize) -> [u8; RESPONSE_HEADER] {
+    let mut h = [status; RESPONSE_HEADER];
+    h[..4].copy_from_slice(&(1 + payload_len as u32).to_le_bytes());
+    h
+}
+
 /// Starts a response frame in `frame`: clears it and reserves the
 /// header. Append the payload, then [`seal_response`] it.
 pub fn begin_response(frame: &mut Vec<u8>) {
@@ -392,9 +400,8 @@ pub fn begin_response(frame: &mut Vec<u8>) {
 /// Fills in the header of a frame begun by [`begin_response`], making
 /// `frame` one complete response ready for a single write.
 pub fn seal_response(frame: &mut [u8], status: u8) {
-    let len = (frame.len() - 4) as u32;
-    frame[..4].copy_from_slice(&len.to_le_bytes());
-    frame[4] = status;
+    let header = response_header(status, frame.len() - RESPONSE_HEADER);
+    frame[..RESPONSE_HEADER].copy_from_slice(&header);
 }
 
 /// Serializes one response (status byte + payload) onto `w`.

@@ -119,7 +119,6 @@ pub fn server_report(
             "    {{\"disk\": {}, \"extent_lookups\": {}, \"extent_hits\": {}, \
              \"hdc_read_hits\": {}, \"pinned\": {}, \"media_ops\": {}, \
              \"media_blocks\": {}, \"read_ahead_blocks\": {}, \
-             \"store_resident\": {}, \"store_fallbacks\": {}, \
              \"store_hits\": {}, \"store_misses\": {}, \
              \"failover_reads\": {}, \"offline\": {}, \"rebuilding\": {}, \
              \"service\": {}}}{}\n",
@@ -131,8 +130,6 @@ pub fn server_report(
             d.media_ops,
             d.media_blocks,
             d.read_ahead_blocks,
-            d.store_resident,
-            d.store_fallbacks,
             d.store_hits,
             d.store_misses,
             d.failover_reads,

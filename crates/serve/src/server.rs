@@ -10,6 +10,10 @@
 //! `ST_SHUTTING_DOWN`, and the main thread waits for the active count
 //! to reach zero before printing the final report.
 //!
+//! An OK READ leaves as its header, sent with `MSG_MORE`, then one
+//! `sendfile(2)` per planned image segment, with no user-space copy;
+//! any other response is one write of a reused frame buffer.
+//!
 //! Every observable event feeds the engine's [`ServeMetrics`]: per-op
 //! request counters and latency histograms, connection and inflight
 //! gauges, and the flight recorder. The registry is exposed over the
@@ -18,7 +22,8 @@
 //! with windowed RPS/MBps rates appended so successive scrapes read
 //! as deltas.
 
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::fs::File;
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -28,13 +33,15 @@ use std::time::{Duration, Instant};
 use forhdc_metrics::http::{read_request_path, write_response as write_http, CONTENT_TYPE_METRICS};
 use forhdc_metrics::{Gauge, RateWindow};
 
-use crate::engine::{Engine, ReadError};
+use crate::engine::{Engine, Plan, ReadError, Segment};
 use crate::metrics::{OpKind, ServeMetrics};
 use crate::protocol::{
-    begin_response, push_error, read_request, seal_response, ErrorCode, FrameError, Request,
-    ST_BAD_REQUEST, ST_BUSY, ST_ERR, ST_INTERNAL, ST_OK, ST_RANGE, ST_SHUTTING_DOWN,
+    begin_response, push_error, read_request, response_header, seal_response, ErrorCode,
+    FrameError, Request, ST_BAD_REQUEST, ST_BUSY, ST_ERR, ST_INTERNAL, ST_OK, ST_RANGE,
+    ST_SHUTTING_DOWN,
 };
 use crate::report::{server_report, stats_line, ServeTotals};
+use crate::zerocopy;
 
 /// How often accept threads poll the non-blocking listener while idle.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
@@ -44,10 +51,6 @@ const DRAIN_POLL: Duration = Duration::from_millis(50);
 /// exits anyway (clients holding idle connections open must not pin a
 /// terminating server forever).
 const DRAIN_GRACE: Duration = Duration::from_secs(10);
-/// A connection's frame buffer that grew past this is released after
-/// its response, so one large READ does not pin its size per idle
-/// connection.
-const FRAME_KEEP_BYTES: usize = 1 << 20;
 
 /// The process-wide termination request, flipped by the SIGTERM/SIGINT
 /// handler the `serve` binary installs. The supervise loop polls it
@@ -405,9 +408,8 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
 }
 
 /// Answers requests from `r` on `w` until the peer leaves, a frame is
-/// malformed, or the client asks for shutdown. Every response is built
-/// in one reused frame buffer and sent with a single write.
-fn serve_conn<R: Read, W: Write>(shared: &Shared, mut r: R, w: W) {
+/// malformed, or the client asks for shutdown.
+fn serve_conn<R: Read, W: Wire>(shared: &Shared, mut r: R, w: W) {
     let mut w = Responder::new(w);
     loop {
         let req = match read_request(&mut r) {
@@ -555,8 +557,10 @@ impl Drop for AdmitGuard<'_> {
 /// Admits (or sheds) and serves one READ, mapping engine errors onto
 /// the wire: structured failures become `ERR` frames carrying their
 /// [`ErrorCode`]; the legacy range/internal paths keep their dedicated
-/// statuses.
-fn serve_read<W: Write>(
+/// statuses. A planned READ is sent off every lock; if its transfer
+/// fails midway the header has promised bytes that cannot follow, so
+/// the connection closes.
+fn serve_read<W: Wire>(
     shared: &Shared,
     w: &mut Responder<W>,
     t0: Instant,
@@ -576,9 +580,11 @@ fn serve_read<W: Write>(
             ),
         );
     };
-    // The engine appends the payload right after the reserved header.
-    match shared.engine.read(file, offset, nblocks, w.payload()) {
-        Ok(()) => count_response(shared, w.send(ST_OK), OpKind::Read, t0, ST_OK),
+    match shared.engine.plan(file, offset, nblocks, &mut w.plan) {
+        Ok(()) => {
+            let delivered = w.send_read(&shared.engine).is_ok();
+            count_response(shared, delivered, OpKind::Read, t0, ST_OK)
+        }
         Err(ReadError::Range(m)) => respond(shared, w, OpKind::Read, t0, ST_RANGE, m.as_bytes()),
         Err(ReadError::Internal(m)) => {
             // An internal error means the images failed underneath us:
@@ -595,7 +601,7 @@ fn serve_read<W: Write>(
 
 /// Answers a `FAULT` admin frame: OK with a confirmation line, or
 /// `ST_RANGE` when the target is outside the array.
-fn respond_fault<W: Write>(
+fn respond_fault<W: Wire>(
     shared: &Shared,
     w: &mut Responder<W>,
     t0: Instant,
@@ -614,18 +620,37 @@ fn respond_fault<W: Write>(
     }
 }
 
-/// One connection's write half: the stream and the frame buffer every
-/// response is built in.
+/// Where a connection's responses go: a frame with one `write_all`, an
+/// OK READ as its header and then each planned segment of its images.
+trait Wire: Write {
+    fn send_header(&mut self, header: &[u8]) -> io::Result<()>;
+    fn send_segment(&mut self, image: &File, seg: &Segment) -> io::Result<()>;
+}
+
+impl Wire for TcpStream {
+    fn send_header(&mut self, header: &[u8]) -> io::Result<()> {
+        zerocopy::send_more(self, header)
+    }
+
+    fn send_segment(&mut self, image: &File, seg: &Segment) -> io::Result<()> {
+        zerocopy::send_file(self, image, seg.offset, seg.len)
+    }
+}
+
+/// One connection's write half: the stream, the frame buffer every
+/// non-READ response is built in, and the reused READ plan.
 struct Responder<W> {
     w: W,
     frame: Vec<u8>,
+    plan: Plan,
 }
 
-impl<W: Write> Responder<W> {
+impl<W: Wire> Responder<W> {
     fn new(w: W) -> Self {
         Responder {
             w,
             frame: Vec::new(),
+            plan: Plan::default(),
         }
     }
 
@@ -640,23 +665,22 @@ impl<W: Write> Responder<W> {
     /// `false` when the peer is gone.
     fn send(&mut self, status: u8) -> bool {
         seal_response(&mut self.frame, status);
-        let delivered = self.w.write_all(&self.frame).is_ok();
-        if self.frame.capacity() > FRAME_KEEP_BYTES {
-            self.frame = Vec::new();
-        }
-        delivered
+        self.w.write_all(&self.frame).is_ok()
+    }
+
+    /// Sends the OK READ planned into `self.plan`: the header, then
+    /// each segment through [`Engine::transfer`].
+    fn send_read(&mut self, engine: &Engine) -> io::Result<()> {
+        let header = response_header(ST_OK, self.plan.bytes() as usize);
+        self.w.send_header(&header)?;
+        engine.transfer(&self.plan, |image, seg| self.w.send_segment(image, seg))
     }
 }
 
 /// Sends one structured `ERR` response, counting it into
 /// `forhdc_errors_total{code=...}`; returns `false` when the peer is
 /// gone.
-fn respond_err<W: Write>(
-    shared: &Shared,
-    w: &mut Responder<W>,
-    code: ErrorCode,
-    msg: &str,
-) -> bool {
+fn respond_err<W: Wire>(shared: &Shared, w: &mut Responder<W>, code: ErrorCode, msg: &str) -> bool {
     push_error(w.payload(), code, msg);
     let delivered = w.send(ST_ERR);
     shared.metrics.error_counter(Some(code)).inc();
@@ -665,7 +689,7 @@ fn respond_err<W: Write>(
 
 /// Sends one response with `payload`; returns `false` when the peer is
 /// gone.
-fn respond<W: Write>(
+fn respond<W: Wire>(
     shared: &Shared,
     w: &mut Responder<W>,
     op: OpKind,
@@ -1181,6 +1205,18 @@ mod tests {
         }
     }
 
+    /// OK READs need a socket; they are checked over one in
+    /// `ok_reads_sendfile_one_frame_each_over_a_socket`.
+    impl Wire for &mut CountingWriter {
+        fn send_header(&mut self, _: &[u8]) -> io::Result<()> {
+            unreachable!("an OK READ reached the in-memory writer")
+        }
+
+        fn send_segment(&mut self, _: &File, _: &Segment) -> io::Result<()> {
+            unreachable!("an OK READ reached the in-memory writer")
+        }
+    }
+
     #[test]
     fn every_response_is_one_write_of_one_frame() {
         use crate::protocol::{parse_error, ST_ERR};
@@ -1207,8 +1243,6 @@ mod tests {
         };
         let reqs = [
             Request::Ping,
-            read(3, 2),
-            read(4, 256), // a 1-MiB payload: past the kept frame size
             read(999, 1),
             Request::FaultOffline {
                 disk: 0,
@@ -1234,19 +1268,218 @@ mod tests {
             assert_eq!(c.position() as usize, bytes.len(), "one frame per write");
         }
         assert_eq!(frames[0], (ST_OK, Vec::new()));
-        for (i, (file, nblocks)) in [(1, (3, 2)), (2, (4, 256))] {
-            let (st, data) = &frames[i];
-            assert_eq!(*st, ST_OK);
+        assert_eq!(frames[1].0, ST_RANGE);
+        assert_eq!(frames[2].0, ST_OK);
+        assert_eq!(frames[3].0, ST_OK);
+        assert_eq!(frames[4].0, ST_ERR);
+        assert_eq!(parse_error(&frames[4].1).0, Some(ErrorCode::DiskOffline));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Builds images for `meta` under a fresh directory named by `tag`.
+    fn images(tag: &str, meta: DiskMeta) -> (std::path::PathBuf, DiskMeta) {
+        let dir = std::env::temp_dir().join(format!("forhdc_server_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let meta = create_images(&dir, &meta).unwrap();
+        (dir, meta)
+    }
+
+    /// Serves one connection on `shared` in a thread; returns the
+    /// client end and the thread, which ends when the client
+    /// half-closes.
+    fn one_conn(shared: Arc<Shared>) -> (TcpStream, thread::JoinHandle<Arc<Shared>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let server = thread::spawn(move || {
+            handle_conn(&shared, stream);
+            shared
+        });
+        (client, server)
+    }
+
+    /// Sends `reqs` back to back, half-closes, and reads every byte
+    /// the server sends until it closes.
+    fn pipeline(c: &mut TcpStream, reqs: &[Request]) -> Vec<u8> {
+        let mut input = Vec::new();
+        for r in reqs {
+            write_request(&mut input, r).unwrap();
+        }
+        c.write_all(&input).unwrap();
+        c.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut wire = Vec::new();
+        c.read_to_end(&mut wire).unwrap();
+        wire
+    }
+
+    #[test]
+    fn ok_reads_sendfile_one_frame_each_over_a_socket() {
+        use crate::protocol::{parse_error, ST_ERR};
+        let (dir, meta) = images(
+            "sendfile",
+            DiskMeta {
+                block_bytes: 4096,
+                disks: 4,
+                unit_blocks: 4,
+                files: 16,
+                file_blocks: 256,
+                seed: 9,
+                fragmentation: 0.0,
+                disk_blocks: 0,
+                mirrored: true,
+            },
+        );
+        let engine = Engine::open(&dir, meta, ReadAheadKind::For, 0).unwrap();
+        // The 2-unit READ is two segments on members of both pairs.
+        let mut plan = Plan::default();
+        engine.plan(3, 0, 8, &mut plan).unwrap();
+        let disks: Vec<u16> = plan.segments().iter().map(|s| s.disk).collect();
+        assert_eq!(disks.len(), 2, "{:?}", plan.segments());
+        assert_ne!(disks[0] / 2, disks[1] / 2);
+        let (mut c, server) = one_conn(Arc::new(Shared::new(engine, 0)));
+        let read = |file, nblocks| Request::Read {
+            file,
+            offset: 0,
+            nblocks,
+        };
+        let offline = |disk| Request::FaultOffline { disk, ms: 60_000 };
+        let wire = pipeline(
+            &mut c,
+            &[read(3, 8), read(4, 256), offline(0), offline(1), read(5, 8)],
+        );
+        server.join().unwrap();
+        let mut r = std::io::Cursor::new(&wire[..]);
+        let mut frame = || read_response(&mut r).unwrap();
+        for (file, nblocks) in [(3, 8), (4, 256)] {
+            let (st, data) = frame();
+            assert_eq!(st, ST_OK);
             assert_eq!(data.len(), nblocks * 4096);
             for (b, page) in data.chunks_exact(4096).enumerate() {
-                assert_eq!(page, &block_payload(file, b as u64, 4096)[..]);
+                assert!(
+                    page == &block_payload(file, b as u64, 4096)[..],
+                    "file {file} block {b}"
+                );
             }
         }
-        assert_eq!(frames[3].0, ST_RANGE);
-        assert_eq!(frames[4].0, ST_OK);
-        assert_eq!(frames[5].0, ST_OK);
-        assert_eq!(frames[6].0, ST_ERR);
-        assert_eq!(parse_error(&frames[6].1).0, Some(ErrorCode::DiskOffline));
+        assert_eq!(frame().0, ST_OK);
+        assert_eq!(frame().0, ST_OK);
+        let (st, payload) = frame();
+        assert_eq!(st, ST_ERR);
+        assert_eq!(parse_error(&payload).0, Some(ErrorCode::DiskOffline));
+        assert_eq!(
+            r.position() as usize,
+            wire.len(),
+            "bytes after the last frame"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn engine_read_and_the_socket_share_one_decision_path() {
+        let meta = DiskMeta {
+            block_bytes: 4096,
+            disks: 2,
+            unit_blocks: 4,
+            files: 64,
+            file_blocks: 8,
+            seed: 13,
+            fragmentation: 0.0,
+            disk_blocks: 0,
+            mirrored: false,
+        };
+        let (dir, meta) = images("onepath", meta);
+        let open = || Engine::open(&dir, meta.clone(), ReadAheadKind::For, 64).unwrap();
+        // A skewed schedule with partial reads, so hits, HDC hits,
+        // read-ahead and misses all occur.
+        let sched: Vec<(u32, u64, u32)> = (0..300u64)
+            .map(|i| {
+                let x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                let file = ((x % 64) * (x % 64) / 64) as u32;
+                let offset = x % 5;
+                (file, offset, (8 - offset as u32).min(1 + (x % 7) as u32))
+            })
+            .collect();
+        let local = open();
+        let mut want = Vec::new();
+        for &(file, offset, nblocks) in &sched {
+            local.read(file, offset, nblocks, &mut want).unwrap();
+        }
+        let (mut c, server) = one_conn(Arc::new(Shared::new(open(), 0)));
+        let reqs: Vec<Request> = sched
+            .iter()
+            .map(|&(file, offset, nblocks)| Request::Read {
+                file,
+                offset,
+                nblocks,
+            })
+            .collect();
+        let wire = pipeline(&mut c, &reqs);
+        let shared = server.join().unwrap();
+        let mut r = std::io::Cursor::new(&wire[..]);
+        let mut got = Vec::new();
+        for _ in &sched {
+            let (st, data) = read_response(&mut r).unwrap();
+            assert_eq!(st, ST_OK);
+            got.extend_from_slice(&data);
+        }
+        assert_eq!(r.position() as usize, wire.len());
+        assert!(got == want, "the socket sent other bytes than Engine::read");
+        let counts = |s: &crate::engine::EngineSnapshot| -> Vec<[u64; 6]> {
+            s.disks
+                .iter()
+                .map(|d| {
+                    [
+                        d.extent_lookups,
+                        d.extent_hits,
+                        d.media_ops,
+                        d.media_blocks,
+                        d.read_ahead_blocks,
+                        d.hdc_read_hits,
+                    ]
+                })
+                .collect()
+        };
+        let (a, b) = (counts(&local.snapshot()), counts(&shared.engine.snapshot()));
+        assert_eq!(a, b);
+        for i in 1..6 {
+            assert!(a.iter().any(|d| d[i] > 0), "counter {i} never moved: {a:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_transfer_cut_short_never_completes_an_ok_frame() {
+        let meta = DiskMeta {
+            block_bytes: 4096,
+            disks: 1,
+            unit_blocks: 4,
+            files: 4,
+            file_blocks: 8,
+            seed: 2,
+            fragmentation: 0.0,
+            disk_blocks: 0,
+            mirrored: false,
+        };
+        let (dir, meta) = images("cutshort", meta);
+        let engine = Engine::open(&dir, meta, ReadAheadKind::For, 0).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut c = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut w = Responder::new(listener.accept().unwrap().0);
+        engine.plan(3, 0, 8, &mut w.plan).unwrap();
+        // The image shrinks between the plan's checks and the send.
+        let seg = w.plan.segments()[0];
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(DiskMeta::image_path(&dir, 0))
+            .unwrap()
+            .set_len(seg.offset + 4096)
+            .unwrap();
+        let err = w.send_read(&engine).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        drop(w);
+        // The client gets the header and one block, then EOF: never a
+        // whole frame.
+        assert!(read_response(&mut c).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
