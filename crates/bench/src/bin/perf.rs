@@ -1,5 +1,6 @@
 //! The perf harness: a fixed set of hot-path microbenches (caches and
-//! the simulator's per-layer primitives) plus end-to-end `fig3`- and
+//! the simulator's per-layer primitives), the file-server layout's
+//! set-up passes (ns per logical block), plus end-to-end `fig3`- and
 //! `fig5`-point simulations, timed with plain wall clocks and emitted
 //! as machine-readable JSON (`BENCH_*.json`).
 //!
@@ -36,6 +37,7 @@ use forhdc_cache::{
 };
 use forhdc_core::{System, SystemConfig};
 use forhdc_host::BufferCache;
+use forhdc_layout::{build_disk_bitmaps, check_bitmap_consistency, FileId, LayoutBuilder};
 use forhdc_runner::point_seed;
 use forhdc_sim::sched::{QueuedOp, Scheduler};
 use forhdc_sim::{
@@ -43,7 +45,7 @@ use forhdc_sim::{
     SimDuration, SimTime, StripingMap,
 };
 use forhdc_trace::outln;
-use forhdc_workload::SyntheticWorkload;
+use forhdc_workload::{ServerWorkloadSpec, SyntheticWorkload};
 
 /// One bench result: best-of-R mean nanoseconds per operation.
 #[derive(Debug, Clone)]
@@ -264,28 +266,39 @@ fn bench_calendar(h: &mut Harness) {
     });
 }
 
-/// Times `reps` full runs of `cfg` over `wl` and records the best
-/// per-request wall time under `name`.
+/// Times `pass` (best of 3, or 1 with `--fast`) and records the best
+/// wall time per `unit` under `name`, for `ops` units of work a pass.
+fn bench_pass<T>(
+    h: &mut Harness,
+    name: &'static str,
+    unit: &str,
+    ops: u64,
+    mut pass: impl FnMut() -> T,
+) {
+    let reps = if h.fast { 1 } else { 3 };
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t = Instant::now();
+        std::hint::black_box(pass());
+        best = best.min(t.elapsed().as_nanos() as f64 / ops as f64);
+    }
+    outln!("{name:<40} {best:>12.1} ns/{unit}  ({ops} {unit}s)");
+    h.results.push(BenchResult {
+        name,
+        ns_per_op: best,
+        ops,
+    });
+}
+
+/// Times full runs of `cfg` over `wl`, per request.
 fn bench_system(
     h: &mut Harness,
     name: &'static str,
     wl: &forhdc_workload::Workload,
     cfg: impl Fn() -> SystemConfig,
 ) {
-    let requests = wl.trace.len();
-    let reps = if h.fast { 1 } else { 3 };
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let r = System::new(cfg(), wl).run();
-        std::hint::black_box(r.io_time);
-        best = best.min(t.elapsed().as_nanos() as f64 / requests as f64);
-    }
-    outln!("{name:<40} {best:>12.1} ns/req  ({requests} reqs)");
-    h.results.push(BenchResult {
-        name,
-        ns_per_op: best,
-        ops: requests as u64,
+    bench_pass(h, name, "req", wl.trace.len() as u64, || {
+        System::new(cfg(), wl).run().io_time
     });
 }
 
@@ -325,6 +338,36 @@ fn bench_e2e_fig5(h: &mut Harness) {
         .seed(seed)
         .build();
     bench_system(h, "e2e/fig5_point_for", &wl, SystemConfig::for_);
+}
+
+fn bench_layout(h: &mut Harness) {
+    // The file-server clone's layout (30,000 files, ~3.9 M blocks):
+    // building it from the file sizes, building the default FOR
+    // array's bitmaps from it, and the checked-mode recomputation of
+    // those bitmaps.
+    let spec = ServerWorkloadSpec::file_server().scale(0.01);
+    let layout = spec.generate().workload.layout;
+    let sizes: Vec<u32> = (0..layout.file_count())
+        .map(|f| layout.file_blocks(FileId::new(f)) as u32)
+        .collect();
+    let blocks = layout.total_blocks();
+    bench_pass(h, "layout/build_file_server", "blk", blocks, || {
+        LayoutBuilder::new()
+            .fragmentation(spec.fragmentation)
+            .seed(spec.seed)
+            .build(&sizes)
+    });
+    let cfg = SystemConfig::for_();
+    let striping = StripingMap::new(cfg.array.virtual_disks(), cfg.array.striping_unit_blocks());
+    let capacity = cfg.array.disk.geometry.capacity_blocks();
+    bench_pass(h, "layout/bitmaps_file_server", "blk", blocks, || {
+        build_disk_bitmaps(&layout, &striping, capacity)
+    });
+    let bitmaps = build_disk_bitmaps(&layout, &striping, capacity);
+    bench_pass(h, "layout/check_file_server", "blk", blocks, || {
+        check_bitmap_consistency(&layout, &striping, &bitmaps)
+            .expect("builder output is consistent")
+    });
 }
 
 fn to_json(results: &[BenchResult], fast: bool, baseline: Option<&Vec<(String, f64)>>) -> String {
@@ -498,6 +541,7 @@ fn main() -> ExitCode {
     bench_scheduler(&mut h);
     bench_striping(&mut h);
     bench_calendar(&mut h);
+    bench_layout(&mut h);
     bench_e2e(&mut h);
     bench_e2e_fig5(&mut h);
 

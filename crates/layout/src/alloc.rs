@@ -103,49 +103,54 @@ impl LayoutBuilder {
     /// files own no blocks).
     pub fn build(&self, file_sizes: &[u32]) -> FileMap {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xF0_4D_15_C0);
-        // 1. Split each file into runs at broken boundaries.
-        //    Runs are (file, file_offset, len).
-        let mut runs: Vec<(u32, u64, u32)> = Vec::new();
+        // 1. Split each file into runs at broken boundaries. The runs
+        //    come out grouped by file in file-offset order, which is
+        //    the map's extent order; only their starts are left to set.
+        let mut extents: Vec<Extent> = Vec::with_capacity(file_sizes.len());
+        let mut extent_file: Vec<u32> = Vec::with_capacity(file_sizes.len());
+        let mut file_start: Vec<u32> = Vec::with_capacity(file_sizes.len() + 1);
         for (fi, &size) in file_sizes.iter().enumerate() {
-            if size == 0 {
-                continue;
-            }
+            file_start.push(extents.len() as u32);
             let mut run_start = 0u32;
-            for b in 1..size {
-                if self.fragmentation > 0.0 && rng.gen_bool(self.fragmentation) {
-                    runs.push((fi as u32, run_start as u64, b - run_start));
+            for b in 1..=size {
+                // The file's last block always ends a run.
+                if b == size || (self.fragmentation > 0.0 && rng.gen_bool(self.fragmentation)) {
+                    extents.push(Extent {
+                        start: LogicalBlock::new(0),
+                        len: b - run_start,
+                        file_offset: run_start as u64,
+                    });
+                    extent_file.push(fi as u32);
                     run_start = b;
                 }
             }
-            runs.push((fi as u32, run_start as u64, size - run_start));
         }
+        file_start.push(extents.len() as u32);
+        extents.shrink_to_fit();
+        extent_file.shrink_to_fit();
         // 2. Place runs. With no fragmentation the order is file order
         //    (contiguous files back-to-back); with fragmentation the
-        //    runs are shuffled so broken pieces scatter.
+        //    runs are shuffled so broken pieces scatter. Placement
+        //    order is start order.
+        let mut order: Vec<u32> = (0..extents.len() as u32).collect();
         if self.fragmentation > 0.0 {
-            runs.shuffle(&mut rng);
+            order.shuffle(&mut rng);
         }
-        let mut extents: Vec<Vec<Extent>> = vec![Vec::new(); file_sizes.len()];
         let mut cursor = 0u64;
         let align = self.align_blocks as u64;
-        for (fi, file_offset, len) in runs {
-            if align > 1 && len as u64 <= align {
+        for &i in &order {
+            let e = &mut extents[i as usize];
+            let len = e.len as u64;
+            if align > 1 && len <= align {
                 let span_left = align - cursor % align;
-                if (len as u64) > span_left {
+                if len > span_left {
                     cursor += span_left; // skip to the next boundary
                 }
             }
-            extents[fi as usize].push(Extent {
-                start: LogicalBlock::new(cursor),
-                len,
-                file_offset,
-            });
-            cursor += len as u64 + self.spacing_blocks;
+            e.start = LogicalBlock::new(cursor);
+            cursor += len + self.spacing_blocks;
         }
-        for file in &mut extents {
-            file.sort_by_key(|e| e.file_offset);
-        }
-        FileMap::from_extents(extents)
+        FileMap::from_placement(extents, file_start, extent_file, order)
     }
 }
 

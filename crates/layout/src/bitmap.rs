@@ -15,9 +15,9 @@
 //! later file offset — the precise condition for the read-ahead data to
 //! be useful to the stream.
 
-use forhdc_sim::{PhysBlock, StripingMap};
+use forhdc_sim::{LogicalBlock, PhysBlock, StripingMap};
 
-use crate::filemap::FileMap;
+use crate::filemap::{Extent, FileId, FileMap};
 
 /// A per-disk continuation bitmap.
 ///
@@ -143,16 +143,26 @@ impl ForBitmap {
         n
     }
 
-    /// Sets bit `i` without range checking (builder-internal; callers
-    /// guarantee `i < nblocks`).
-    #[inline]
-    fn set_bit(&mut self, i: u64) {
-        debug_assert!(i < self.nblocks);
-        let widx = (i / 64) as usize;
-        if widx >= self.words.len() {
-            self.words.resize(widx + 1, 0);
+    /// Sets bits `from..to` a word at a time, without range checking
+    /// (builder-internal; callers guarantee `to <= nblocks`).
+    fn set_run(&mut self, from: u64, to: u64) {
+        if from >= to {
+            return;
         }
-        self.words[widx] |= 1u64 << (i % 64);
+        debug_assert!(to <= self.nblocks);
+        let (first, last) = ((from / 64) as usize, ((to - 1) / 64) as usize);
+        if last >= self.words.len() {
+            self.words.resize(last + 1, 0);
+        }
+        let head = !0u64 << (from % 64);
+        let tail = !0u64 >> (63 - (to - 1) % 64);
+        if first == last {
+            self.words[first] |= head & tail;
+        } else {
+            self.words[first] |= head;
+            self.words[first + 1..last].fill(!0);
+            self.words[last] |= tail;
+        }
     }
 }
 
@@ -182,44 +192,25 @@ pub fn build_disk_bitmaps(
     let mut bitmaps: Vec<ForBitmap> = (0..striping.disks())
         .map(|_| ForBitmap::new(disk_blocks))
         .collect();
-    // Walk the allocated logical space one striping unit at a time.
-    // Within a unit, logically adjacent blocks are physically adjacent
-    // on one disk, so the physical predecessor of logical `l` is
-    // simply `l - 1`; only the unit's first block needs the striping
-    // inverse (the predecessor is the last block of the previous unit
-    // row on the same disk). This removes the per-block locate /
-    // logical_of division work of the naive walk.
-    let disks = striping.disks() as u64;
-    let unit = striping.unit_blocks() as u64;
-    let owners = map.owners();
-    let total = map.total_blocks();
-    let continues = |prev: u64, cur: u64| match (owners[prev as usize], owners[cur as usize]) {
-        (Some(p), Some(c)) => c.file == p.file && c.offset > p.offset,
-        _ => false,
-    };
-    let mut l = 0u64;
-    while l < total {
-        let unit_idx = l / unit;
-        let disk = (unit_idx % disks) as usize;
-        let row = unit_idx / disks;
-        let pbase = row * unit; // physical block of logical `l`
-        if pbase >= disk_blocks {
-            l += unit;
+    // Sweep the extents one striping-unit piece at a time. Inside a
+    // piece, logically adjacent blocks of one extent are physically
+    // adjacent on one disk, so every bit after the piece's first is set
+    // as one run. Pieces reach each disk in physical order, so the first
+    // bit's predecessor (physical block `p − 1` on the same disk) is
+    // either the last block of the previous piece on that disk or
+    // unallocated; `tail[d]` remembers that block's physical end, file
+    // and file offset.
+    let mut tail: Vec<Option<(u64, FileId, u64)>> = vec![None; bitmaps.len()];
+    for p in map.unit_pieces(striping) {
+        let (disk, phys) = (p.disk.as_usize(), p.phys.index());
+        if phys >= disk_blocks {
             continue;
         }
-        let bm = &mut bitmaps[disk];
-        // Unit-boundary bit: physical predecessor is the last block of
-        // the previous row, logically one full stripe minus a unit back.
-        if row > 0 && continues(l - (disks - 1) * unit - 1, l) {
-            bm.set_bit(pbase);
-        }
-        let n = unit.min(total - l).min(disk_blocks - pbase);
-        for k in 1..n {
-            if continues(l + k - 1, l + k) {
-                bm.set_bit(pbase + k);
-            }
-        }
-        l += unit;
+        let first =
+            tail[disk].is_some_and(|(end, f, o)| end == phys && f == p.file && o < p.file_offset);
+        let from = if first { phys } else { phys + 1 };
+        bitmaps[disk].set_run(from, (phys + p.len).min(disk_blocks));
+        tail[disk] = Some((phys + p.len, p.file, p.file_offset + p.len - 1));
     }
     bitmaps
 }
@@ -241,27 +232,48 @@ pub fn check_bitmap_consistency(
             striping.disks()
         ));
     }
-    for l in 0..map.total_blocks() {
-        let logical = forhdc_sim::LogicalBlock::new(l);
-        let (disk, phys) = striping.locate(logical);
-        let bm = &bitmaps[disk.as_usize()];
-        if phys.index() >= bm.len() {
-            continue;
-        }
-        let expected = phys.index() > 0 && {
-            let prev_logical = striping.logical_of(disk, PhysBlock::new(phys.index() - 1));
-            match (map.owner(logical), map.owner(prev_logical)) {
-                (Some(cur), Some(prev)) => cur.file == prev.file && cur.offset > prev.offset,
-                _ => false,
+    // Walk the blocks in logical order, taking each block's owner from
+    // the extents in start order. A block's physical predecessor lies
+    // at most `(disks − 1)·unit + 1` logical blocks back, so the owners
+    // of the last `mask + 1` blocks are kept in a ring.
+    let stride = (striping.disks() as u64 - 1) * striping.unit_blocks() as u64 + 1;
+    let mask = (stride + 1).next_power_of_two() - 1;
+    // Owners as `(file + 1, offset)`, 0 for unallocated blocks.
+    let mut recent: Vec<(u64, u64)> = vec![(0, 0); mask as usize + 1];
+    // The extents in start order, copied out once so that the walk
+    // reads them sequentially rather than through the start index.
+    let placed: Vec<(FileId, Extent)> = map.extents_by_start().map(|(f, e)| (f, *e)).collect();
+    let mut l = 0u64;
+    for (file, e) in placed {
+        let (start, end, first_offset) = (e.start.index(), e.end().index(), e.file_offset);
+        let key = file.index() as u64 + 1;
+        while l < end {
+            let owner = if l >= start {
+                (key, first_offset + (l - start))
+            } else {
+                (0, 0)
+            };
+            recent[(l & mask) as usize] = owner;
+            let logical = LogicalBlock::new(l);
+            let (disk, phys) = striping.locate(logical);
+            let bm = &bitmaps[disk.as_usize()];
+            l += 1;
+            if phys.index() >= bm.len() {
+                continue;
             }
-        };
-        if bm.get(phys) != expected {
-            return Err(format!(
-                "disk {} phys block {phys}: bitmap says {}, filemap says {expected} \
-                 (logical block {logical})",
-                disk.as_usize(),
-                bm.get(phys),
-            ));
+            let expected = phys.index() > 0 && {
+                let prev_logical = striping.logical_of(disk, PhysBlock::new(phys.index() - 1));
+                let prev = recent[(prev_logical.index() & mask) as usize];
+                owner.0 != 0 && owner.0 == prev.0 && owner.1 > prev.1
+            };
+            if bm.get(phys) != expected {
+                return Err(format!(
+                    "disk {} phys block {phys}: bitmap says {}, filemap says {expected} \
+                     (logical block {logical})",
+                    disk.as_usize(),
+                    bm.get(phys),
+                ));
+            }
         }
     }
     Ok(())
@@ -271,7 +283,6 @@ pub fn check_bitmap_consistency(
 mod tests {
     use super::*;
     use crate::alloc::LayoutBuilder;
-    use forhdc_sim::LogicalBlock;
 
     #[test]
     fn bitmap_set_get_roundtrip() {

@@ -7,7 +7,8 @@
 //! This crate models that placement:
 //!
 //! * [`FileMap`] — which file (and which offset within it) owns each
-//!   logical block.
+//!   logical block, held as extents only: its size is O(files +
+//!   extents), not O(blocks).
 //! * [`LayoutBuilder`] — lays a population of files onto the logical
 //!   space with a tunable *fragmentation* probability: each within-file
 //!   block boundary independently breaks with probability `q`,
@@ -26,4 +27,4 @@ pub mod frag;
 
 pub use alloc::LayoutBuilder;
 pub use bitmap::{build_disk_bitmaps, check_bitmap_consistency, ForBitmap};
-pub use filemap::{Extent, FileId, FileMap};
+pub use filemap::{Extent, FileId, FileMap, UnitPiece};

@@ -20,7 +20,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use forhdc_layout::{FileMap, LayoutBuilder};
-use forhdc_sim::{DiskId, LogicalBlock, StripingMap};
+use forhdc_sim::{LogicalBlock, StripingMap};
 
 /// Blocks of zero padding appended past each disk's last allocated
 /// block, so a read-ahead run launched from the final file block never
@@ -257,14 +257,28 @@ pub fn create_images(dir: &Path, meta: &DiskMeta) -> Result<DiskMeta, String> {
         let path = DiskMeta::image_path(dir, d);
         let file = File::create(&path).map_err(|e| format!("create {}: {e}", path.display()))?;
         let mut w = BufWriter::new(file);
-        for p in 0..meta.disk_blocks {
-            let logical = striping.logical_of(DiskId::new(vd), forhdc_sim::PhysBlock::new(p));
-            let block = match map.owner(logical) {
-                Some(owner) => block_payload(owner.file.index(), owner.offset, meta.block_bytes),
-                None => zero.clone(),
-            };
-            w.write_all(&block)
-                .map_err(|e| format!("write {}: {e}", path.display()))?;
+        let mut write = |block: &[u8]| {
+            w.write_all(block)
+                .map_err(|e| format!("write {}: {e}", path.display()))
+        };
+        // The extents' pieces on this disk come in physical order; the
+        // gaps between them are unallocated (zero) blocks.
+        let mut next = 0u64;
+        for p in map.unit_pieces(&striping).filter(|p| p.disk.index() == vd) {
+            for _ in next..p.phys.index() {
+                write(&zero)?;
+            }
+            for k in 0..p.len {
+                write(&block_payload(
+                    p.file.index(),
+                    p.file_offset + k,
+                    meta.block_bytes,
+                ))?;
+            }
+            next = p.phys.index() + p.len;
+        }
+        for _ in next..meta.disk_blocks {
+            write(&zero)?;
         }
         w.flush()
             .map_err(|e| format!("write {}: {e}", path.display()))?;
@@ -419,6 +433,41 @@ mod tests {
         .unwrap();
         assert_eq!(got, block_payload(3, 1, meta.block_bytes));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn images_match_a_per_block_owner_walk() {
+        let fragmented = DiskMeta {
+            disks: 3,
+            file_blocks: 6,
+            fragmentation: 0.3,
+            ..small_meta()
+        };
+        let mirrored = DiskMeta {
+            disks: 4,
+            mirrored: true,
+            ..fragmented.clone()
+        };
+        for (tag, meta) in [("walk", fragmented), ("walk_mirror", mirrored)] {
+            let dir = tmpdir(tag);
+            let meta = create_images(&dir, &meta).unwrap();
+            let (map, striping) = (meta.layout(), meta.striping());
+            for d in 0..meta.disks {
+                let vd = if meta.mirrored { d / 2 } else { d };
+                let mut want = Vec::new();
+                for p in 0..meta.disk_blocks {
+                    let logical = striping
+                        .logical_of(forhdc_sim::DiskId::new(vd), forhdc_sim::PhysBlock::new(p));
+                    want.extend(match map.owner(logical) {
+                        Some(o) => block_payload(o.file.index(), o.offset, meta.block_bytes),
+                        None => vec![0u8; meta.block_bytes as usize],
+                    });
+                }
+                let got = std::fs::read(DiskMeta::image_path(&dir, d)).unwrap();
+                assert!(got == want, "{tag}: disk {d} image differs");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -263,7 +263,7 @@ impl ServerWorkloadSpec {
                 )
             })
             .collect();
-        let base_layout = LayoutBuilder::new()
+        let mut layout = LayoutBuilder::new()
             .fragmentation(self.fragmentation)
             .seed(self.seed)
             .build(&sizes);
@@ -274,27 +274,17 @@ impl ServerWorkloadSpec {
         } else {
             0
         };
-        let layout = {
-            let mut extents: Vec<Vec<forhdc_layout::Extent>> = (0..self.files as u32)
-                .map(|f| base_layout.extents(FileId::new(f)).to_vec())
-                .collect();
-            let mut cursor = base_layout.total_blocks();
-            for _ in 0..expected_writes {
-                let len = sample_file_blocks(
+        let frontier: Vec<u32> = (0..expected_writes)
+            .map(|_| {
+                sample_file_blocks(
                     &mut rng,
                     self.mean_file_blocks,
                     self.sigma,
                     self.max_file_blocks,
-                );
-                extents.push(vec![forhdc_layout::Extent {
-                    start: forhdc_sim::LogicalBlock::new(cursor),
-                    len,
-                    file_offset: 0,
-                }]);
-                cursor += len as u64;
-            }
-            forhdc_layout::FileMap::from_extents(extents)
-        };
+                )
+            })
+            .collect();
+        layout.append_files(&frontier);
         let zipf = ZipfSampler::new(self.files, self.zipf_alpha);
         // Spatial order: files sorted by their first block's position,
         // so "nearby in this order" means "physically adjacent".
@@ -561,6 +551,19 @@ mod tests {
         assert!(mean < 2.0, "file-server mean request {mean} blocks");
         let gb = s.workload.layout.total_blocks() as f64 * 4096.0 / 1e9;
         assert!((10.0..24.0).contains(&gb), "file footprint {gb} GB");
+    }
+
+    #[test]
+    fn file_server_layout_costs_per_extent_not_per_block() {
+        let layout = quick(ServerKind::File).workload.layout;
+        let files = layout.file_count() as u64;
+        let extents = layout.extents_by_start().len() as u64;
+        let bytes = layout.heap_bytes();
+        assert!(
+            bytes <= 40 * extents + 8 * files,
+            "{bytes} B for {extents} extents of {files} files ({} blocks)",
+            layout.total_blocks()
+        );
     }
 
     #[test]
