@@ -113,6 +113,21 @@ fn bench_block_cache_touch_hot(h: &mut Harness) {
     });
 }
 
+fn bench_block_cache_for_miss_runs(h: &mut Harness) {
+    // The file-server clone's FOR miss: one demanded block and eight
+    // read-ahead blocks at a scattered start, into a full cache that
+    // nothing hits, so every op evicts nine blocks.
+    h.bench("block_cache/for_miss_runs", 200_000, |n| {
+        let mut cache = BlockCache::new(1024, BlockReplacement::Mru);
+        cache.insert_run(PhysBlock::new(1 << 23), 1024, 1024);
+        for i in 0..n {
+            let start = i.wrapping_mul(0x9E37_79B9) % (1 << 22);
+            cache.insert_run(PhysBlock::new(start), 9, 1);
+        }
+        cache.resident_blocks() as u64
+    });
+}
+
 fn bench_buffer_cache(h: &mut Harness) {
     // Mixed hit/miss stream over a 16 K-block cache with a 24 K-block
     // footprint (two-thirds hit rate, like a warm host cache).
@@ -534,6 +549,7 @@ fn main() -> ExitCode {
         "block_cache/lru_insert_touch",
     );
     bench_block_cache_touch_hot(&mut h);
+    bench_block_cache_for_miss_runs(&mut h);
     bench_buffer_cache(&mut h);
     bench_segment_cache(&mut h);
     bench_hdc(&mut h);

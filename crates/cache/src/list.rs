@@ -150,6 +150,24 @@ impl<T> Slab<T> {
         list.head = idx;
     }
 
+    /// Links node `idx` directly behind node `at` of `list`, on its
+    /// less-recent side.
+    pub fn insert_after(&mut self, list: &mut List, at: u32, idx: u32) {
+        let next = self.nodes[at as usize].next;
+        {
+            let node = &mut self.nodes[idx as usize];
+            node.prev = at;
+            node.next = next;
+        }
+        self.nodes[at as usize].next = idx;
+        if next != NIL {
+            self.nodes[next as usize].prev = idx;
+        } else {
+            debug_assert_eq!(list.tail, at, "node not on this list");
+            list.tail = idx;
+        }
+    }
+
     /// Unlinks node `idx` from `list` (it stays allocated).
     pub fn remove(&mut self, list: &mut List, idx: u32) {
         let (prev, next) = {
@@ -237,6 +255,23 @@ mod tests {
         let order: Vec<u64> = slab.iter(&list).map(|i| *slab.get(i)).collect();
         assert_eq!(order, vec![3, 1]);
         assert_eq!(slab.tail(&list), Some(ids[1]));
+    }
+
+    #[test]
+    fn insert_after_links_behind_a_node() {
+        let mut slab: Slab<u64> = Slab::with_capacity(4);
+        let mut list = List::new();
+        let a = slab.alloc(0);
+        let b = slab.alloc(1);
+        slab.push_front(&mut list, a);
+        slab.insert_after(&mut list, a, b); // b becomes the tail
+        let c = slab.alloc(2);
+        slab.insert_after(&mut list, a, c); // c sits between a and b
+        let order: Vec<u64> = slab.iter(&list).map(|i| *slab.get(i)).collect();
+        assert_eq!(order, vec![0, 2, 1]);
+        assert_eq!(slab.tail(&list), Some(b));
+        slab.remove(&mut list, b);
+        assert_eq!(slab.tail(&list), Some(c));
     }
 
     #[test]

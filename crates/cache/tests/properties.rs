@@ -327,61 +327,85 @@ impl ControllerCache for RefSegmentCache {
 /// One step of an arbitrary cache workout.
 #[derive(Debug, Clone)]
 enum Op {
-    Insert { start: u64, n: u32, requested: u32 },
+    Insert {
+        start: u64,
+        n: u32,
+        requested: u32,
+    },
     Touch(u64),
-    Lookup { start: u64, n: u32 },
+    Lookup {
+        start: u64,
+        n: u32,
+    },
+    /// A stream consuming `start..start + n` one block at a time.
+    Consume {
+        start: u64,
+        n: u32,
+    },
 }
+
+/// Longest inserted run: longer than the smallest caches, so one
+/// insertion can evict its own blocks.
+const MAX_RUN: u32 = 64;
 
 fn op_strategy(space: u64) -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0..space, 1u32..40).prop_map(|(start, n)| {
-            Op::Insert {
-                start,
-                n,
-                requested: n / 2,
-            }
-        }),
-        (0..space).prop_map(Op::Touch),
-        (0..space, 1u32..8).prop_map(|(start, n)| Op::Lookup { start, n }),
-    ]
-}
-
-fn workout(cache: &mut dyn ControllerCache, ops: &[Op]) {
-    for op in ops {
-        match *op {
-            Op::Insert {
+        (0..space, 1..MAX_RUN + 1)
+            .prop_flat_map(|(start, n)| (Just(start), Just(n), 0..n + 1))
+            .prop_map(|(start, n, requested)| Op::Insert {
                 start,
                 n,
                 requested,
-            } => cache.insert_run(PhysBlock::new(start), n, requested),
-            Op::Touch(b) => {
+            }),
+        (0..space).prop_map(Op::Touch),
+        (0..space, 1u32..8).prop_map(|(start, n)| Op::Lookup { start, n }),
+        (0..space, 1u32..24).prop_map(|(start, n)| Op::Consume { start, n }),
+    ]
+}
+
+fn apply(cache: &mut dyn ControllerCache, op: &Op) {
+    match *op {
+        Op::Insert {
+            start,
+            n,
+            requested,
+        } => cache.insert_run(PhysBlock::new(start), n, requested),
+        Op::Touch(b) => {
+            cache.touch(PhysBlock::new(b));
+        }
+        Op::Lookup { start, n } => {
+            cache.lookup_extent(PhysBlock::new(start), n);
+        }
+        Op::Consume { start, n } => {
+            for b in start..start + n as u64 {
                 cache.touch(PhysBlock::new(b));
-            }
-            Op::Lookup { start, n } => {
-                cache.lookup_extent(PhysBlock::new(start), n);
             }
         }
     }
 }
 
+fn workout(cache: &mut dyn ControllerCache, ops: &[Op]) {
+    for op in ops {
+        apply(cache, op);
+    }
+}
+
 /// Drives the production cache and its reference specification through
 /// the same op sequence, comparing every observable along the way:
-/// per-op results, residency, final stats, and the exact resident set.
-fn drive_and_compare(
-    real: &mut dyn ControllerCache,
+/// per-op results, residency, structural coherence after every op,
+/// final stats, and the exact resident set.
+fn drive_and_compare<C: ControllerCache>(
+    real: &mut C,
+    coherent: fn(&C) -> Result<(), String>,
     spec: &mut dyn ControllerCache,
     ops: &[Op],
     space: u64,
 ) {
     for (step, op) in ops.iter().enumerate() {
         match *op {
-            Op::Insert {
-                start,
-                n,
-                requested,
-            } => {
-                real.insert_run(PhysBlock::new(start), n, requested);
-                spec.insert_run(PhysBlock::new(start), n, requested);
+            Op::Insert { .. } => {
+                apply(real, op);
+                apply(spec, op);
             }
             Op::Touch(b) => {
                 assert_eq!(
@@ -397,22 +421,144 @@ fn drive_and_compare(
                     "lookup_extent({start}, {n}) diverged at step {step}"
                 );
             }
+            Op::Consume { start, n } => {
+                for b in start..start + n as u64 {
+                    assert_eq!(
+                        real.touch(PhysBlock::new(b)),
+                        spec.touch(PhysBlock::new(b)),
+                        "consume touch({b}) diverged at step {step}"
+                    );
+                }
+            }
         }
         assert_eq!(
             real.resident_blocks(),
             spec.resident_blocks(),
             "residency diverged at step {step}"
         );
+        if let Err(e) = coherent(real) {
+            panic!("incoherent after step {step} ({op:?}): {e}");
+        }
     }
     assert_eq!(real.stats(), spec.stats(), "stats diverged");
-    // Insert starts go up to `space` and runs extend by at most 40.
-    for b in 0..space + 64 {
+    // Insert starts go up to `space` and runs extend by at most MAX_RUN.
+    for b in 0..space + MAX_RUN as u64 {
         assert_eq!(
             real.contains(PhysBlock::new(b)),
             spec.contains(PhysBlock::new(b)),
             "resident set diverged at block {b}"
         );
     }
+}
+
+/// Runs `ops` through a fresh [`BlockCache`] and [`RefBlockCache`] in
+/// lockstep and returns the production cache for further checks.
+fn matches_reference(capacity: u32, mru: bool, ops: &[Op]) -> BlockCache {
+    let policy = if mru {
+        BlockReplacement::Mru
+    } else {
+        BlockReplacement::Lru
+    };
+    let mut real = BlockCache::new(capacity, policy);
+    let mut spec = RefBlockCache::new(capacity, mru);
+    drive_and_compare(&mut real, BlockCache::check_coherence, &mut spec, ops, 200);
+    real
+}
+
+fn insert(start: u64, n: u32, requested: u32) -> Op {
+    Op::Insert {
+        start,
+        n,
+        requested,
+    }
+}
+
+fn resident(c: &BlockCache, blocks: std::ops::Range<u64>) -> Vec<u64> {
+    blocks.filter(|&b| c.contains(PhysBlock::new(b))).collect()
+}
+
+#[test]
+fn run_longer_than_capacity_keeps_its_top() {
+    // Nothing consumed: the run's own bottom blocks are the stalest
+    // prefetches, evicted while the run goes in.
+    let c = matches_reference(4, true, &[insert(0, 10, 3)]);
+    assert_eq!(resident(&c, 0..10), vec![6, 7, 8, 9]);
+    assert_eq!(c.stats().evictions, 6);
+    let c = matches_reference(4, false, &[insert(0, 10, 3)]);
+    assert_eq!(resident(&c, 0..10), vec![6, 7, 8, 9]);
+}
+
+#[test]
+fn eviction_can_take_a_later_block_of_the_same_run() {
+    // Block 5 is the stalest prefetch when the run 3..7 arrives: the
+    // run's first stretch (3, 4) evicts it, so it goes back in as a
+    // new block rather than being refreshed.
+    let ops = [insert(5, 1, 0), insert(100, 3, 3), insert(3, 4, 4)];
+    for mru in [true, false] {
+        let c = matches_reference(4, mru, &ops);
+        assert_eq!(resident(&c, 0..10), vec![3, 4, 5, 6]);
+        assert_eq!(c.stats().insertions, 8);
+        assert_eq!(c.stats().ra_inserted, 1);
+    }
+}
+
+#[test]
+fn refresh_in_the_middle_of_a_run() {
+    let ops = [
+        insert(0, 8, 2),
+        insert(3, 3, 1), // refreshes 3..6: 3 demanded, 4 and 5 read-ahead
+        Op::Lookup { start: 0, n: 8 },
+        insert(50, 4, 4),
+        insert(60, 4, 0),
+    ];
+    for mru in [true, false] {
+        let c = matches_reference(10, mru, &ops);
+        assert_eq!(c.stats().ra_inserted, 6 + 2 + 4);
+        // Block 3 lost its read-ahead mark to the demanded refresh.
+        assert_eq!(c.stats().ra_used, 5);
+    }
+}
+
+#[test]
+fn back_to_back_runs_keep_their_read_ahead_marks() {
+    // The second run continues the first's blocks and stamps, but its
+    // demanded blocks follow the first's read-ahead: the two must not
+    // share one read-ahead boundary.
+    let ops = [
+        insert(0, 4, 2),
+        insert(4, 2, 2),
+        Op::Consume { start: 0, n: 6 },
+        insert(6, 3, 0),
+        insert(9, 3, 3),
+        Op::Lookup { start: 6, n: 6 },
+    ];
+    for mru in [true, false] {
+        let c = matches_reference(32, mru, &ops);
+        assert_eq!(c.stats().ra_used, 2 + 3);
+    }
+}
+
+#[test]
+fn lru_eviction_alternates_between_the_tails() {
+    // Interleave consumption with insertion so the stalest block
+    // alternates between the used and unused lists, then flush
+    // everything with one long run.
+    let ops = [
+        insert(0, 3, 3),
+        insert(10, 3, 0),
+        Op::Touch(1),
+        insert(20, 3, 1),
+        Op::Touch(11),
+        Op::Consume { start: 20, n: 2 },
+        insert(30, 2, 2),
+        Op::Touch(0),
+        insert(100, 9, 1),
+        insert(120, 12, 4),
+    ];
+    let c = matches_reference(12, false, &ops);
+    assert_eq!(c.resident_blocks(), 12);
+    assert_eq!(c.stats().insertions, 32);
+    assert_eq!(c.stats().evictions, 20);
 }
 
 fn check_invariants(cache: &dyn ControllerCache) {
@@ -466,7 +612,7 @@ proptest! {
         let policy = if mru { BlockReplacement::Mru } else { BlockReplacement::Lru };
         let mut real = BlockCache::new(capacity, policy);
         let mut spec = RefBlockCache::new(capacity, mru);
-        drive_and_compare(&mut real, &mut spec, &ops, 300);
+        drive_and_compare(&mut real, BlockCache::check_coherence, &mut spec, &ops, 300);
     }
 
     /// The extent-indexed, list-ordered segment cache is observably
@@ -482,7 +628,7 @@ proptest! {
         let policy = if lru { SegmentReplacement::Lru } else { SegmentReplacement::Fifo };
         let mut real = SegmentCache::new(segments, seg_blocks, policy);
         let mut spec = RefSegmentCache::new(segments, seg_blocks, lru);
-        drive_and_compare(&mut real, &mut spec, &ops, 300);
+        drive_and_compare(&mut real, SegmentCache::check_coherence, &mut spec, &ops, 300);
     }
 
     /// Hit after insert: any block of a freshly inserted run is
@@ -518,17 +664,7 @@ proptest! {
         let mut seg = SegmentCache::new(segments, seg_blocks, spolicy);
         for (step, op) in ops.iter().enumerate() {
             for cache in [&mut block as &mut dyn ControllerCache, &mut seg] {
-                match *op {
-                    Op::Insert { start, n, requested } => {
-                        cache.insert_run(PhysBlock::new(start), n, requested)
-                    }
-                    Op::Touch(b) => {
-                        cache.touch(PhysBlock::new(b));
-                    }
-                    Op::Lookup { start, n } => {
-                        cache.lookup_extent(PhysBlock::new(start), n);
-                    }
-                }
+                apply(cache, op);
             }
             if let Err(e) = block.check_coherence() {
                 prop_assert!(false, "block cache, step {}: {}", step, e);

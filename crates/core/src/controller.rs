@@ -55,11 +55,24 @@ impl CacheOrg {
     // block of every request, and through a `&mut dyn ControllerCache`
     // each would be an indirect call the optimizer cannot inline.
 
+    /// Touches `start..start + nblocks` in order, reporting each
+    /// block's hit or miss to `each`. The block cache moves a hit's
+    /// blocks a run at a time.
     #[inline]
-    fn touch(&mut self, block: PhysBlock) -> bool {
+    fn touch_extent(
+        &mut self,
+        start: PhysBlock,
+        nblocks: u32,
+        mut each: impl FnMut(PhysBlock, bool),
+    ) {
         match self {
-            CacheOrg::Segment(c) => c.touch(block),
-            CacheOrg::Block(c) => c.touch(block),
+            CacheOrg::Segment(c) => {
+                for i in 0..nblocks as u64 {
+                    let b = start.offset(i);
+                    each(b, c.touch(b));
+                }
+            }
+            CacheOrg::Block(c) => c.touch_extent(start, nblocks, each),
         }
     }
 
@@ -232,20 +245,13 @@ impl DiskController {
                 let mut all = true;
                 if self.hdc.is_empty() {
                     self.hdc.note_misses(nblocks as u64, 0);
-                    for i in 0..nblocks as u64 {
-                        if !self.cache.touch(start.offset(i)) {
-                            all = false;
-                        }
-                    }
+                    self.cache.touch_extent(start, nblocks, |_, hit| all &= hit);
                 } else {
-                    for i in 0..nblocks as u64 {
-                        let b = start.offset(i);
-                        let in_hdc = self.hdc.read(b);
-                        let in_cache = self.cache.touch(b);
-                        if !in_hdc && !in_cache {
-                            all = false;
-                        }
-                    }
+                    let hdc = &mut self.hdc;
+                    self.cache.touch_extent(start, nblocks, |b, in_cache| {
+                        let in_hdc = hdc.read(b);
+                        all &= in_hdc || in_cache;
+                    });
                 }
                 self.cache.record_extent(all);
                 if all {
@@ -271,15 +277,12 @@ impl DiskController {
                 // not insert new blocks, and count the HDC misses.
                 if self.hdc.is_empty() {
                     self.hdc.note_misses(0, nblocks as u64);
-                    for i in 0..nblocks as u64 {
-                        self.cache.touch(start.offset(i));
-                    }
+                    self.cache.touch_extent(start, nblocks, |_, _| {});
                 } else {
-                    for i in 0..nblocks as u64 {
-                        let b = start.offset(i);
-                        self.hdc.write(b);
-                        self.cache.touch(b);
-                    }
+                    let hdc = &mut self.hdc;
+                    self.cache.touch_extent(start, nblocks, |b, _| {
+                        hdc.write(b);
+                    });
                 }
                 ControllerDecision::Media {
                     start,

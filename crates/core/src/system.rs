@@ -1140,7 +1140,6 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
         }
     }
 
-    /// Presents one extent to one physical disk's controller.
     /// Whether a read extent is fully covered by the cooperative pin
     /// set (home HDC region plus sibling-held overflow blocks).
     fn coop_covers(&self, disk_idx: usize, start: forhdc_sim::PhysBlock, nblocks: u32) -> bool {
@@ -1155,6 +1154,7 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
         })
     }
 
+    /// Presents one extent to one physical disk's controller.
     fn dispatch(
         &mut self,
         id: u64,
