@@ -12,7 +12,7 @@ use forhdc_sim::{SchedulerKind, StripingMap};
 use forhdc_workload::{ServerWorkloadSpec, SyntheticWorkload};
 
 use crate::plan::{
-    report_metrics, shared, sim_job, NamedConfig, PlannedExperiment, SharedWorkload,
+    report_metrics, run_system, shared, sim_job, NamedConfig, PlannedExperiment, SharedWorkload,
 };
 use crate::table::{f1, f3, Table};
 use crate::RunOptions;
@@ -496,7 +496,7 @@ pub fn plan_periodic_planner(opts: RunOptions) -> PlannedExperiment {
             let striping = StripingMap::new(cfg.array.disks, cfg.array.striping_unit_blocks());
             let plans = plan_periodic(&wl.trace, &striping, cfg.hdc_blocks(), periods);
             let last = plans.last().expect("at least one period").clone();
-            report_metrics(&System::with_plan(cfg, wl, last).run())
+            report_metrics(&run_system(System::builder(cfg, wl).plan(last), opts.check).0)
         }));
     }
     PlannedExperiment {
@@ -648,7 +648,7 @@ pub fn plan_cooperative(opts: RunOptions) -> PlannedExperiment {
                 } else {
                     SystemConfig::segm().with_hdc(HDC)
                 };
-                let r = System::new(cfg, wl.get()).run();
+                let r = run_system(System::builder(cfg, wl.get()), opts.check).0;
                 JobOutput::new()
                     .metric("io_ns", r.io_time.as_nanos() as f64)
                     .metric("coop_hits", r.coop_hits as f64)
@@ -746,19 +746,16 @@ pub fn plan_victim(opts: RunOptions) -> PlannedExperiment {
             let vw = vw.clone();
             SimJob::new(spec, move || {
                 let vw = vw.get();
-                let r = match mode {
-                    "no-hdc" => System::new(SystemConfig::segm(), &vw.workload).run(),
+                let sys = match mode {
+                    "no-hdc" => System::builder(SystemConfig::segm(), &vw.workload),
                     "top-miss" => {
-                        System::new(SystemConfig::segm().with_hdc(VICTIM_HDC), &vw.workload).run()
+                        System::builder(SystemConfig::segm().with_hdc(VICTIM_HDC), &vw.workload)
                     }
-                    _ => System::with_plan(
-                        SystemConfig::segm().with_hdc(VICTIM_HDC),
-                        &vw.workload,
-                        HdcPlan::empty(8),
-                    )
-                    .with_hdc_commands(vw.commands.clone())
-                    .run(),
+                    _ => System::builder(SystemConfig::segm().with_hdc(VICTIM_HDC), &vw.workload)
+                        .plan(HdcPlan::empty(8))
+                        .hdc_commands(vw.commands.clone()),
                 };
+                let r = run_system(sys, opts.check).0;
                 let mut o = JobOutput::new()
                     .metric("io_ns", r.io_time.as_nanos() as f64)
                     .metric("hdc_hit_rate", r.hdc_hit_rate());

@@ -21,7 +21,7 @@ use forhdc_runner::{point_seed, JobOutput, JobSpec, SimJob};
 use forhdc_sim::SimDuration;
 use forhdc_workload::SyntheticWorkload;
 
-use crate::plan::{shared, NamedConfig, PlannedExperiment, SharedWorkload};
+use crate::plan::{run_system, shared, NamedConfig, PlannedExperiment, SharedWorkload};
 use crate::table::{f3, Table};
 use crate::RunOptions;
 
@@ -101,18 +101,21 @@ fn fault_metrics(r: &forhdc_core::Report) -> JobOutput {
 /// A job running one system under one seeded fault schedule. Media
 /// faults are a pure function of the schedule seed and bus faults a
 /// per-system seeded stream, so the job stays a pure function of its
-/// spec and parallel runs reassemble byte-identically.
+/// spec and parallel runs reassemble byte-identically. `check` runs it
+/// under the invariant auditor (`repro --check`).
 fn fault_job(
     spec: JobSpec,
     wl: &SharedWorkload,
     cfg: impl Fn() -> SystemConfig + Send + Sync + 'static,
     fault_cfg: FaultConfig,
+    check: bool,
 ) -> SimJob {
     let wl = wl.clone();
     SimJob::new(spec, move || {
         let sys_cfg = cfg().with_recovery(recovery());
         let faults = SeededFaults::new(fault_cfg.clone());
-        fault_metrics(&System::new_faulted(sys_cfg, wl.get(), faults).run())
+        let sys = System::builder(sys_cfg, wl.get()).faults(faults);
+        fault_metrics(&run_system(sys, check).0)
     })
 }
 
@@ -148,7 +151,7 @@ pub fn plan_faults(opts: RunOptions) -> PlannedExperiment {
             .param("rate", RATE_LABELS[row])
             .param("fault_seed", fault_cfg.seed)
             .param("faulted", rate > 0.0);
-            jobs.push(fault_job(spec, &wl, cfg, fault_cfg.clone()));
+            jobs.push(fault_job(spec, &wl, cfg, fault_cfg.clone(), opts.check));
         }
     }
     PlannedExperiment {

@@ -11,7 +11,7 @@ use forhdc_layout::{frag::measure_runs, LayoutBuilder};
 use forhdc_runner::{JobOutput, JobSpec, SimJob};
 use forhdc_sim::ArrayConfig;
 
-use crate::plan::PlannedExperiment;
+use crate::plan::{run_system, PlannedExperiment};
 use crate::table::{f1, f3, Table};
 
 /// Table 1: the simulation parameters and their defaults. One job
@@ -202,8 +202,9 @@ pub fn plan_model_check(opts: crate::RunOptions) -> PlannedExperiment {
                     .zipf_alpha(0.0) // the closed form has no reuse term
                     .seed(42)
                     .build();
-                let segm = System::new(SystemConfig::segm(), &wl).run();
-                let for_ = System::new(SystemConfig::for_(), &wl).run();
+                let run = |cfg| run_system(System::builder(cfg, &wl), opts.check).0;
+                let segm = run(SystemConfig::segm());
+                let for_ = run(SystemConfig::for_());
                 JobOutput::new()
                     .metric("pred", pred)
                     .metric("sim", for_.normalized_io_time(&segm))

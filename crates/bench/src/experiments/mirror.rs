@@ -26,7 +26,7 @@ use forhdc_runner::{point_seed, JobOutput, JobSpec, SimJob};
 use forhdc_sim::{ReadSplit, SimDuration};
 use forhdc_workload::SyntheticWorkload;
 
-use crate::plan::{shared, PlannedExperiment, SharedWorkload};
+use crate::plan::{run_system, shared, PlannedExperiment, SharedWorkload};
 use crate::table::{f1, Table};
 use crate::RunOptions;
 
@@ -110,6 +110,7 @@ fn mirror_job(
     policy: ReadSplit,
     rate: Option<u64>,
     fault_cfg: FaultConfig,
+    check: bool,
 ) -> SimJob {
     let wl = wl.clone();
     SimJob::new(spec, move || {
@@ -122,7 +123,7 @@ fn mirror_job(
             cfg = cfg.with_rebuild(rebuild(rate));
         }
         let faults = SeededFaults::new(fault_cfg.clone());
-        mirror_metrics(&System::new_faulted(cfg, wl.get(), faults).run())
+        mirror_metrics(&run_system(System::builder(cfg, wl.get()).faults(faults), check).0)
     })
 }
 
@@ -156,7 +157,14 @@ pub fn plan_mirror(opts: RunOptions) -> PlannedExperiment {
             .param("split", policy.label())
             .param("rebuild", rb_label)
             .param("fault_seed", fault_cfg.seed);
-            jobs.push(mirror_job(spec, &wl, policy, rate, fault_cfg.clone()));
+            jobs.push(mirror_job(
+                spec,
+                &wl,
+                policy,
+                rate,
+                fault_cfg.clone(),
+                opts.check,
+            ));
         }
     }
     PlannedExperiment {

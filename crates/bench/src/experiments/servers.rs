@@ -12,7 +12,7 @@ use forhdc_core::{System, SystemConfig};
 use forhdc_runner::{JobOutput, JobSpec, SimJob};
 use forhdc_workload::{ServerKind, ServerWorkloadSpec, Workload};
 
-use crate::plan::{shared, sim_job, PlannedExperiment, SharedWorkload};
+use crate::plan::{run_system, shared, sim_job, PlannedExperiment, SharedWorkload};
 use crate::table::{f1, f3, Table};
 use crate::RunOptions;
 
@@ -271,29 +271,17 @@ pub fn plan_table2(opts: RunOptions) -> PlannedExperiment {
         .param("unit_grid", format!("{UNIT_GRID_KB:?}"));
         jobs.push(SimJob::new(job_spec, move || {
             let wl = workload(kind, opts);
+            let run = |cfg: SystemConfig| run_system(System::builder(cfg, &wl), opts.check).0;
             // Best unit by the Segm baseline, as the paper selects it.
             let (best_unit_kb, segm) = UNIT_GRID_KB
                 .iter()
-                .map(|&u| {
-                    (
-                        u,
-                        System::new(SystemConfig::segm().with_striping_unit(u * 1024), &wl).run(),
-                    )
-                })
+                .map(|&u| (u, run(SystemConfig::segm().with_striping_unit(u * 1024))))
                 .min_by_key(|(_, r)| r.io_time)
                 .expect("non-empty grid");
             let unit = best_unit_kb * 1024;
-            let for_ = System::new(SystemConfig::for_().with_striping_unit(unit), &wl).run();
-            let segm_hdc = System::new(
-                SystemConfig::segm().with_hdc(HDC).with_striping_unit(unit),
-                &wl,
-            )
-            .run();
-            let for_hdc = System::new(
-                SystemConfig::for_().with_hdc(HDC).with_striping_unit(unit),
-                &wl,
-            )
-            .run();
+            let for_ = run(SystemConfig::for_().with_striping_unit(unit));
+            let segm_hdc = run(SystemConfig::segm().with_hdc(HDC).with_striping_unit(unit));
+            let for_hdc = run(SystemConfig::for_().with_hdc(HDC).with_striping_unit(unit));
             JobOutput::new()
                 .metric("best_unit_kb", best_unit_kb as f64)
                 .metric("for_improvement", for_.improvement_over(&segm))

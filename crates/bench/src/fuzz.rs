@@ -26,12 +26,10 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use forhdc_core::{
-    FaultConfig, FullAudit, NoFaults, RecoveryPolicy, SeededFaults, System, SystemConfig,
-};
+use forhdc_core::{FaultConfig, FullAudit, RecoveryPolicy, SeededFaults, System, SystemConfig};
 use forhdc_runner::{JobOutput, JobSpec, SimJob};
 use forhdc_sim::SimDuration;
-use forhdc_trace::{MemTracer, NullTracer};
+use forhdc_trace::MemTracer;
 use forhdc_workload::{SyntheticWorkload, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,7 +59,8 @@ pub struct FuzzCase {
     pub write_fraction: f64,
     /// Zipf skew of the file popularity distribution.
     pub zipf_alpha: f64,
-    /// Index into [`CONFIG_NAMES`].
+    /// Cache organization, as an index into `segm`, `block`, `no_ra`,
+    /// `for`.
     pub config: usize,
     /// HDC region size in KiB (0 = no HDC).
     pub hdc_kib: u64,
@@ -271,14 +270,10 @@ fn run_case_inner(case: &FuzzCase) -> Result<(), String> {
     // 1. Unchecked baseline.
     let base = System::new(case.system_config(), &wl).run();
     // 2. Checked run: every invariant audited; report byte-identical.
-    let (checked, auditor) = System::new_traced_faulted_audited(
-        case.system_config(),
-        &wl,
-        NullTracer,
-        NoFaults,
-        case.auditor(),
-    )
-    .run_audited();
+    let (checked, auditor) = System::builder(case.system_config(), &wl)
+        .auditor(case.auditor())
+        .build()
+        .run_audited();
     if auditor.observations() == 0 {
         return Err("checked run made no audit observations".into());
     }
@@ -298,9 +293,11 @@ fn run_case_inner(case: &FuzzCase) -> Result<(), String> {
         ..RecoveryPolicy::default()
     });
     let faults = SeededFaults::new(case.fault_config());
-    let (faulted, _) =
-        System::new_traced_faulted_audited(cfg, &wl, NullTracer, faults, case.auditor())
-            .run_audited();
+    let (faulted, _) = System::builder(cfg, &wl)
+        .faults(faults)
+        .auditor(case.auditor())
+        .build()
+        .run_audited();
     if faulted.requests == 0 {
         return Err("faulted run completed no requests".into());
     }

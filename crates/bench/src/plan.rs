@@ -15,8 +15,9 @@
 
 use std::sync::Arc;
 
-use forhdc_core::{FullAudit, NoFaults, Report, System, SystemConfig};
+use forhdc_core::{FaultModel, FullAudit, Report, System, SystemBuilder, SystemConfig};
 use forhdc_runner::{ExperimentStats, JobOutput, JobSpec, Lazy, Runner, SimJob};
+use forhdc_trace::{MemTracer, Tracer};
 use forhdc_workload::Workload;
 
 use crate::Table;
@@ -119,30 +120,14 @@ pub fn sim_job(
     let check = mode.check;
     match mode.trace {
         None => SimJob::new(spec, move || {
-            let report = if check {
-                System::new_checked(cfg(), wl.get()).run()
-            } else {
-                System::new(cfg(), wl.get()).run()
-            };
-            report_metrics(&report)
+            report_metrics(&run_system(System::builder(cfg(), wl.get()), check).0)
         }),
         Some(t) => {
             let path = crate::tracefs::point_path(t.dir, &spec.experiment, spec.point);
             SimJob::new(spec, move || {
                 let sys_cfg = cfg().with_trace_sampling(t.sample);
-                let (report, tracer) = if check {
-                    System::new_traced_faulted_audited(
-                        sys_cfg,
-                        wl.get(),
-                        forhdc_trace::MemTracer::new(),
-                        NoFaults,
-                        FullAudit::new(),
-                    )
-                    .run_traced()
-                } else {
-                    System::new_traced(sys_cfg, wl.get(), forhdc_trace::MemTracer::new())
-                        .run_traced()
-                };
+                let sys = System::builder(sys_cfg, wl.get()).tracer(MemTracer::new());
+                let (report, tracer) = run_system(sys, check);
                 // A panic here is caught by the runner and recorded as
                 // a job failure; the process and its siblings carry on.
                 if let Err(e) = crate::tracefs::write_point(&path, &tracer.to_jsonl()) {
@@ -151,5 +136,21 @@ pub fn sim_job(
                 report_metrics(&report)
             })
         }
+    }
+}
+
+/// Builds and runs `sys`, under a [`FullAudit`] auditor when `check`
+/// is set (`repro --check`). Every job that simulates goes through
+/// here, so the flag reaches every point. The auditor only reads, so
+/// the report and tracer are identical either way; a violation panics
+/// the job.
+pub fn run_system<T: Tracer, F: FaultModel>(
+    sys: SystemBuilder<'_, T, F>,
+    check: bool,
+) -> (Report, T) {
+    if check {
+        sys.auditor(FullAudit::new()).build().run_traced()
+    } else {
+        sys.build().run_traced()
     }
 }

@@ -49,5 +49,5 @@ pub use latency::LatencyHistogram;
 pub use planner::{plan_cooperative, plan_periodic, plan_top_misses, CoopPlan, HdcPlan};
 pub use policy::ReadAheadKind;
 pub use report::Report;
-pub use system::{RebuildConfig, RecoveryPolicy, System, SystemConfig};
+pub use system::{RebuildConfig, RecoveryPolicy, System, SystemBuilder, SystemConfig};
 pub use victim::{build_victim_workload, HdcCommand, VictimConfig, VictimWorkload};

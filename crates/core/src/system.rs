@@ -26,7 +26,7 @@ use forhdc_trace::{FaultKind, NullTracer, ProbeResult, TraceEvent, Tracer};
 use forhdc_workload::{TraceRequest, Workload};
 
 use crate::controller::{ControllerDecision, DiskController};
-use crate::planner::{plan_cooperative, plan_top_misses, CoopPlan, HdcPlan};
+use crate::planner::{plan_cooperative, plan_top_misses, HdcPlan};
 use crate::policy::ReadAheadKind;
 use crate::report::Report;
 use crate::victim::HdcCommand;
@@ -404,37 +404,47 @@ struct PendingReq {
 
 /// A fully assembled system ready to replay one workload.
 ///
-/// The tracer type parameter defaults to [`NullTracer`], whose
-/// constant-false `enabled()` lets every emission site compile to
-/// nothing — untraced runs pay zero overhead. Attach a real tracer
-/// with [`System::new_traced`] and recover it (full of events) from
-/// [`System::run_traced`].
+/// [`System::builder`] is the one way to assemble it; [`System::new`],
+/// [`System::with_plan`], [`System::new_traced`] and
+/// [`System::new_checked`] are shorthands for common builder chains.
+/// Three type parameters carry optional facades, each attached through
+/// one builder slot that replaces its parameter:
 ///
-/// The fault-model parameter works the same way: it defaults to
-/// [`NoFaults`], whose constant-false `enabled()` compiles every fault
-/// site out of the hot path, so the default build is byte-identical to
-/// the pre-fault simulator. Attach a real model (e.g.
-/// `forhdc_fault::SeededFaults`) with [`System::new_faulted`] or
-/// [`System::new_traced_faulted`] to inject deterministic media, bus,
-/// offline-window, and power-loss faults.
-///
-/// The auditor parameter is the third instance of the pattern: it
-/// defaults to [`NoChecks`] (audit sites compile away; unchecked
-/// reports stay byte-identical). Attach [`FullAudit`] with
-/// [`System::new_checked`] (or the fully general
-/// [`System::new_traced_faulted_audited`]) to validate invariants at
-/// every audit point and panic on the first violation (checked mode,
-/// DESIGN.md §6.5).
+/// * **Tracer** ([`SystemBuilder::tracer`]) — defaults to
+///   [`NullTracer`], whose constant-false `enabled()` lets every
+///   emission site compile to nothing, so untraced runs pay zero
+///   overhead. [`System::run_traced`] returns the tracer full of
+///   events.
+/// * **Fault model** ([`SystemBuilder::faults`]) — defaults to
+///   [`NoFaults`], compiled out the same way, so the default build is
+///   byte-identical to the pre-fault simulator. A real model (e.g.
+///   [`forhdc_fault::SeededFaults`]) injects deterministic media, bus,
+///   offline-window, and power-loss faults.
+/// * **Auditor** ([`SystemBuilder::auditor`]) — defaults to
+///   [`NoChecks`] (audit sites compile away; unchecked reports stay
+///   byte-identical). [`FullAudit`] validates invariants at every audit
+///   point and panics on the first violation (checked mode, DESIGN.md
+///   §6.5); [`System::run_audited`] returns it.
 ///
 /// # Example
 ///
 /// ```
-/// use forhdc_core::{System, SystemConfig};
+/// use forhdc_core::{FaultConfig, FullAudit, SeededFaults, System, SystemConfig};
 /// use forhdc_workload::SyntheticWorkload;
 ///
 /// let wl = SyntheticWorkload::builder().requests(100).files(1_000).seed(3).build();
-/// let report = System::new(SystemConfig::for_().with_hdc(2 * 1024 * 1024), &wl).run();
+/// let cfg = SystemConfig::for_().with_hdc(2 * 1024 * 1024);
+/// let report = System::new(cfg.clone(), &wl).run();
 /// assert_eq!(report.requests, wl.trace.len() as u64);
+///
+/// // Every facade attaches through the builder.
+/// let (faulted, audit) = System::builder(cfg, &wl)
+///     .faults(SeededFaults::new(FaultConfig::new(7)))
+///     .auditor(FullAudit::new())
+///     .build()
+///     .run_audited();
+/// assert_eq!(faulted.requests, report.requests);
+/// assert!(audit.observations() > 0);
 /// ```
 #[derive(Debug)]
 pub struct System<T: Tracer = NullTracer, F: FaultModel = NoFaults, A: Auditor = NoChecks> {
@@ -490,240 +500,198 @@ pub struct System<T: Tracer = NullTracer, F: FaultModel = NoFaults, A: Auditor =
 }
 
 impl System {
-    /// Assembles a system for `cfg` serving `workload`, planning the
-    /// HDC contents from the trace (perfect knowledge, as in §6.1).
+    /// Starts assembling a system for `cfg` serving `workload`. Left
+    /// alone, [`SystemBuilder::build`] plans the HDC contents from the
+    /// trace (perfect knowledge, as in §6.1) and attaches no tracer,
+    /// fault model or auditor.
+    pub fn builder(cfg: SystemConfig, workload: &Workload) -> SystemBuilder<'_> {
+        SystemBuilder {
+            cfg,
+            workload,
+            plan: None,
+            hdc_commands: HashMap::new(),
+            tracer: NullTracer,
+            faults: NoFaults,
+            auditor: NoChecks,
+        }
+    }
+
+    /// `System::builder(cfg, workload).build()`.
     ///
     /// # Panics
     ///
-    /// Panics if the workload footprint exceeds the array capacity.
+    /// Under the conditions of [`SystemBuilder::build`].
     pub fn new(cfg: SystemConfig, workload: &Workload) -> Self {
-        System::new_traced(cfg, workload, NullTracer)
+        System::builder(cfg, workload).build()
     }
 
-    /// Assembles a system around a cooperative plan (see
-    /// [`System::with_coop_plan_traced`]).
+    /// `System::builder(cfg, workload).plan(plan).build()`.
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`System::with_plan`].
-    pub fn with_coop_plan(cfg: SystemConfig, workload: &Workload, coop: CoopPlan) -> Self {
-        System::with_coop_plan_traced(cfg, workload, coop, NullTracer)
-    }
-
-    /// Assembles a system with an explicit HDC plan (see
-    /// [`System::with_plan_traced`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload footprint exceeds the array capacity or
-    /// the plan covers a different disk count.
+    /// Under the conditions of [`SystemBuilder::build`].
     pub fn with_plan(cfg: SystemConfig, workload: &Workload, plan: HdcPlan) -> Self {
-        System::with_plan_traced(cfg, workload, plan, NullTracer)
+        System::builder(cfg, workload).plan(plan).build()
     }
 
-    /// Assembles a checked-mode system: identical to [`System::new`]
-    /// but with a [`FullAudit`] auditor attached, so every audit point
-    /// validates its invariants and the run panics on the first
-    /// violation.
+    /// `System::builder(cfg, workload).auditor(FullAudit::new()).build()`:
+    /// checked mode, panicking on the first violated invariant.
     ///
     /// # Panics
     ///
-    /// Panics if the workload footprint exceeds the array capacity, or
-    /// (during the run) on any violated invariant.
+    /// Under the conditions of [`SystemBuilder::build`], or (during the
+    /// run) on any violated invariant.
     pub fn new_checked(
         cfg: SystemConfig,
         workload: &Workload,
     ) -> System<NullTracer, NoFaults, FullAudit> {
-        System::new_traced_faulted_audited(cfg, workload, NullTracer, NoFaults, FullAudit::new())
+        System::builder(cfg, workload)
+            .auditor(FullAudit::new())
+            .build()
     }
 }
 
 impl<T: Tracer> System<T> {
-    /// Assembles a system with an attached tracer; otherwise identical
-    /// to [`System::new`].
+    /// `System::builder(cfg, workload).tracer(tracer).build()`.
     ///
     /// # Panics
     ///
-    /// Panics if the workload footprint exceeds the array capacity.
+    /// Under the conditions of [`SystemBuilder::build`].
     pub fn new_traced(cfg: SystemConfig, workload: &Workload, tracer: T) -> Self {
-        System::new_traced_faulted(cfg, workload, tracer, NoFaults)
-    }
-
-    /// Assembles a system around a cooperative plan: home pins go into
-    /// their controllers' HDC regions; overflow pins are tracked at the
-    /// host and served as controller-cache hits from their holders.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`System::with_plan`].
-    pub fn with_coop_plan_traced(
-        cfg: SystemConfig,
-        workload: &Workload,
-        coop: CoopPlan,
-        tracer: T,
-    ) -> Self {
-        System::with_coop_plan_traced_faulted(cfg, workload, coop, tracer, NoFaults)
-    }
-
-    /// Assembles a system with an explicit HDC plan (for the periodic
-    /// planner and for planning-policy ablations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload footprint exceeds the array capacity or
-    /// the plan covers a different disk count.
-    pub fn with_plan_traced(
-        cfg: SystemConfig,
-        workload: &Workload,
-        plan: HdcPlan,
-        tracer: T,
-    ) -> Self {
-        System::with_plan_traced_faulted(cfg, workload, plan, tracer, NoFaults)
+        System::builder(cfg, workload).tracer(tracer).build()
     }
 }
 
-impl<F: FaultModel> System<NullTracer, F> {
-    /// Assembles an untraced system with an attached fault model;
-    /// otherwise identical to [`System::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload footprint exceeds the array capacity.
-    pub fn new_faulted(cfg: SystemConfig, workload: &Workload, faults: F) -> Self {
-        System::new_traced_faulted(cfg, workload, NullTracer, faults)
-    }
+/// Assembles a [`System`]; start one with [`System::builder`].
+///
+/// The tracer, fault-model and auditor slots each replace one type
+/// parameter, so a slot left empty keeps its zero-sized disabled facade
+/// and compiles out of the hot path.
+#[derive(Debug)]
+#[must_use = "a builder does nothing until `build` is called"]
+pub struct SystemBuilder<
+    'w,
+    T: Tracer = NullTracer,
+    F: FaultModel = NoFaults,
+    A: Auditor = NoChecks,
+> {
+    cfg: SystemConfig,
+    workload: &'w Workload,
+    plan: Option<HdcPlan>,
+    hdc_commands: HashMap<u64, Vec<HdcCommand>>,
+    tracer: T,
+    faults: F,
+    auditor: A,
 }
 
-impl<T: Tracer, F: FaultModel> System<T, F> {
-    /// Assembles a system with both a tracer and a fault model attached
-    /// but no auditor; see [`System::new_traced_faulted_audited`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload footprint exceeds the array capacity.
-    pub fn new_traced_faulted(
-        cfg: SystemConfig,
-        workload: &Workload,
-        tracer: T,
-        faults: F,
-    ) -> Self {
-        System::new_traced_faulted_audited(cfg, workload, tracer, faults, NoChecks)
+impl<'w, T: Tracer, F: FaultModel, A: Auditor> SystemBuilder<'w, T, F, A> {
+    /// Pins `plan` instead of planning from the trace (the periodic
+    /// planner, planning-policy ablations, victim-cache mode). An
+    /// explicit plan wins over `cfg.cooperative_hdc`.
+    pub fn plan(mut self, plan: HdcPlan) -> Self {
+        self.plan = Some(plan);
+        self
     }
 
-    /// Cooperative-plan constructor with an attached fault model; see
-    /// [`System::with_coop_plan_traced`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`System::with_plan`].
-    pub fn with_coop_plan_traced_faulted(
-        cfg: SystemConfig,
-        workload: &Workload,
-        coop: CoopPlan,
-        tracer: T,
-        faults: F,
-    ) -> Self {
-        System::with_coop_plan_traced_faulted_audited(cfg, workload, coop, tracer, faults, NoChecks)
+    /// Attaches a host HDC command stream (victim-cache mode, §5):
+    /// commands mapped to issue index `k` are applied just before the
+    /// `k`-th request is issued. Pins charge a host→controller bus
+    /// transfer.
+    pub fn hdc_commands(mut self, commands: HashMap<u64, Vec<HdcCommand>>) -> Self {
+        self.hdc_commands = commands;
+        self
     }
 
-    /// Explicit-plan constructor with an attached fault model; see
-    /// [`System::with_plan_traced`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload footprint exceeds the array capacity or
-    /// the plan covers a different disk count.
-    pub fn with_plan_traced_faulted(
-        cfg: SystemConfig,
-        workload: &Workload,
-        plan: HdcPlan,
-        tracer: T,
-        faults: F,
-    ) -> Self {
-        System::with_plan_traced_faulted_audited(cfg, workload, plan, tracer, faults, NoChecks)
-    }
-}
-
-impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
-    /// Assembles a system with a tracer, a fault model, and an auditor
-    /// attached (the fully general constructor; every other constructor
-    /// funnels here).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload footprint exceeds the array capacity, or
-    /// — with an enabled auditor — on a violated construction-time
-    /// invariant.
-    pub fn new_traced_faulted_audited(
-        cfg: SystemConfig,
-        workload: &Workload,
-        tracer: T,
-        faults: F,
-        auditor: A,
-    ) -> Self {
-        let striping =
-            StripingMap::new(cfg.array.virtual_disks(), cfg.array.striping_unit_blocks());
-        if cfg.cooperative_hdc && cfg.hdc_blocks() > 0 {
-            let coop = plan_cooperative(&workload.trace, &striping, cfg.hdc_blocks());
-            return System::with_coop_plan_traced_faulted_audited(
-                cfg, workload, coop, tracer, faults, auditor,
-            );
+    /// Attaches a tracer; [`System::run_traced`] returns it.
+    pub fn tracer<T2: Tracer>(self, tracer: T2) -> SystemBuilder<'w, T2, F, A> {
+        SystemBuilder {
+            cfg: self.cfg,
+            workload: self.workload,
+            plan: self.plan,
+            hdc_commands: self.hdc_commands,
+            tracer,
+            faults: self.faults,
+            auditor: self.auditor,
         }
-        let plan = if cfg.hdc_blocks() > 0 {
-            plan_top_misses(&workload.trace, &striping, cfg.hdc_blocks())
-        } else {
-            HdcPlan::empty(cfg.array.virtual_disks())
-        };
-        System::with_plan_traced_faulted_audited(cfg, workload, plan, tracer, faults, auditor)
     }
 
-    /// Cooperative-plan constructor, fully general; see
-    /// [`System::with_coop_plan_traced`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`System::with_plan`].
-    pub fn with_coop_plan_traced_faulted_audited(
-        cfg: SystemConfig,
-        workload: &Workload,
-        coop: CoopPlan,
-        tracer: T,
-        faults: F,
-        auditor: A,
-    ) -> Self {
-        assert!(
-            !cfg.array.mirrored,
-            "cooperative HDC over mirrored pairs is not supported (pins address virtual disks)"
-        );
-        let plan = HdcPlan::from_per_disk(coop.home.clone());
-        let mut sys =
-            System::with_plan_traced_faulted_audited(cfg, workload, plan, tracer, faults, auditor);
-        sys.coop_overflow.reserve(coop.overflow.len());
-        for ((home_disk, block), holder) in coop.overflow {
-            sys.coop_overflow.insert((home_disk, block.index()), holder);
+    /// Attaches a fault model.
+    pub fn faults<F2: FaultModel>(self, faults: F2) -> SystemBuilder<'w, T, F2, A> {
+        SystemBuilder {
+            cfg: self.cfg,
+            workload: self.workload,
+            plan: self.plan,
+            hdc_commands: self.hdc_commands,
+            tracer: self.tracer,
+            faults,
+            auditor: self.auditor,
         }
-        sys
     }
 
-    /// Explicit-plan constructor, fully general; see
-    /// [`System::with_plan_traced`]. With an enabled auditor this also
-    /// validates the FOR continuation bitmaps against the workload's
-    /// filemap before the replay starts.
+    /// Attaches an auditor; [`System::run_audited`] returns it.
+    pub fn auditor<A2: Auditor>(self, auditor: A2) -> SystemBuilder<'w, T, F, A2> {
+        SystemBuilder {
+            cfg: self.cfg,
+            workload: self.workload,
+            plan: self.plan,
+            hdc_commands: self.hdc_commands,
+            tracer: self.tracer,
+            faults: self.faults,
+            auditor,
+        }
+    }
+
+    /// Assembles the system; every constructor funnels here.
+    ///
+    /// The HDC plan is resolved in this one place: an explicit
+    /// [`Self::plan`] wins; otherwise `cfg.cooperative_hdc` plans
+    /// cooperatively (home pins go into their controllers' HDC regions,
+    /// overflow pins are tracked at the host and served as
+    /// controller-cache hits from their holders); otherwise the
+    /// top-miss planner fills each HDC, or nothing is pinned when there
+    /// is no HDC. With an enabled auditor this also validates the FOR
+    /// continuation bitmaps against the workload's filemap before the
+    /// replay starts.
     ///
     /// # Panics
     ///
-    /// Panics if the workload footprint exceeds the array capacity or
-    /// the plan covers a different disk count.
-    pub fn with_plan_traced_faulted_audited(
-        cfg: SystemConfig,
-        workload: &Workload,
-        plan: HdcPlan,
-        tracer: T,
-        faults: F,
-        mut auditor: A,
-    ) -> Self {
+    /// Panics if the workload footprint exceeds the array capacity; if
+    /// the plan covers a different disk count, or pins more blocks on a
+    /// disk than its HDC holds; if cooperative HDC is configured on a
+    /// mirrored array; on an invalid rebuild configuration; or — with
+    /// an enabled auditor — on a violated construction-time invariant.
+    pub fn build(self) -> System<T, F, A> {
+        let SystemBuilder {
+            cfg,
+            workload,
+            plan,
+            hdc_commands,
+            tracer,
+            faults,
+            mut auditor,
+        } = self;
         let virtual_disks = cfg.array.virtual_disks();
         let striping = StripingMap::new(virtual_disks, cfg.array.striping_unit_blocks());
+        let mut coop_overflow = FxHashMap::default();
+        let plan = match plan {
+            Some(plan) => plan,
+            None if cfg.cooperative_hdc && cfg.hdc_blocks() > 0 => {
+                assert!(
+                    !cfg.array.mirrored,
+                    "cooperative HDC over mirrored pairs is not supported (pins address virtual disks)"
+                );
+                let coop = plan_cooperative(&workload.trace, &striping, cfg.hdc_blocks());
+                coop_overflow.reserve(coop.overflow.len());
+                for ((home_disk, block), holder) in coop.overflow {
+                    coop_overflow.insert((home_disk, block.index()), holder);
+                }
+                HdcPlan::from_per_disk(coop.home)
+            }
+            None if cfg.hdc_blocks() > 0 => {
+                plan_top_misses(&workload.trace, &striping, cfg.hdc_blocks())
+            }
+            None => HdcPlan::empty(virtual_disks),
+        };
         assert_eq!(
             plan.disks(),
             virtual_disks as usize,
@@ -784,7 +752,11 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
                     // are amortized over the period (§5), so they are
                     // not charged to the I/O time.
                     let pinned = ctl.pin(block);
-                    debug_assert!(pinned, "plan exceeded HDC capacity");
+                    assert!(
+                        pinned,
+                        "HDC plan for disk {vd} exceeds its capacity of {} blocks",
+                        cfg.hdc_blocks()
+                    );
                 }
                 DiskState {
                     mech: DiskMechanics::new(&cfg.array.disk),
@@ -826,10 +798,10 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
             response_max: SimDuration::ZERO,
             completed: 0,
             last_completion: SimTime::ZERO,
-            hdc_commands: HashMap::new(),
+            hdc_commands,
             issued_count: 0,
             latency: crate::latency::LatencyHistogram::new(),
-            coop_overflow: FxHashMap::default(),
+            coop_overflow,
             coop_hits: 0,
             flush_buf: Vec::new(),
             split_buf: Vec::new(),
@@ -844,16 +816,9 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
             rebuild_pace_at: SimTime::ZERO,
         }
     }
+}
 
-    /// Attaches a host HDC command stream (victim-cache mode, §5):
-    /// commands mapped to issue index `k` are applied just before the
-    /// `k`-th request is issued. Pins charge a host→controller bus
-    /// transfer.
-    pub fn with_hdc_commands(mut self, commands: HashMap<u64, Vec<HdcCommand>>) -> Self {
-        self.hdc_commands = commands;
-        self
-    }
-
+impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
     /// Runs the replay to completion and returns the report.
     pub fn run(self) -> Report {
         self.run_all().0
@@ -2228,14 +2193,11 @@ mod tests {
             end_ns: 50_000_000,
         };
         let fc = FaultConfig::new(2).with_offline(window);
-        let (r, _audit) = System::new_traced_faulted_audited(
-            SystemConfig::segm().with_mirroring(),
-            &wl,
-            NullTracer,
-            SeededFaults::new(fc),
-            FullAudit::new(),
-        )
-        .run_audited();
+        let (r, _audit) = System::builder(SystemConfig::segm().with_mirroring(), &wl)
+            .faults(SeededFaults::new(fc))
+            .auditor(FullAudit::new())
+            .build()
+            .run_audited();
         assert_eq!(r.requests, wl.trace.len() as u64);
         assert_eq!(r.faults.failed_requests, 0);
         assert!(
@@ -2327,14 +2289,12 @@ mod tests {
             total_blocks: 512,
         };
         let fc = FaultConfig::new(4).with_offline(window);
-        let (r, _audit) = System::new_traced_faulted_audited(
-            SystemConfig::segm().with_mirroring().with_rebuild(rb),
-            &wl,
-            NullTracer,
-            SeededFaults::new(fc),
-            FullAudit::new(),
-        )
-        .run_audited();
+        let (r, _audit) =
+            System::builder(SystemConfig::segm().with_mirroring().with_rebuild(rb), &wl)
+                .faults(SeededFaults::new(fc))
+                .auditor(FullAudit::new())
+                .build()
+                .run_audited();
         assert_eq!(r.requests, wl.trace.len() as u64);
         assert_eq!(r.faults.failed_requests, 0);
         assert!(
@@ -2385,12 +2345,17 @@ mod tests {
             streams: 64,
         };
         const HDC: u64 = 1 << 20; // 256 blocks per disk
-        let per_disk = System::new(SystemConfig::segm().with_hdc(HDC), &wl).run();
-        let coop = System::new(
-            SystemConfig::segm().with_hdc(HDC).with_cooperative_hdc(),
-            &wl,
-        )
-        .run();
+        let per_disk_cfg = SystemConfig::segm().with_hdc(HDC);
+        let per_disk = System::new(per_disk_cfg.clone(), &wl).run();
+        let coop_cfg = per_disk_cfg.clone().with_cooperative_hdc();
+        let coop = System::new(coop_cfg.clone(), &wl).run();
+        // An explicit plan wins over the cooperative flag: the per-disk
+        // plan replays exactly as the per-disk run.
+        let striping = StripingMap::new(8, per_disk_cfg.array.striping_unit_blocks());
+        let plan = plan_top_misses(&wl.trace, &striping, per_disk_cfg.hdc_blocks());
+        let explicit = System::builder(coop_cfg, &wl).plan(plan).build().run();
+        assert_eq!(explicit.coop_hits, 0);
+        assert_eq!(explicit.io_time, per_disk.io_time);
         assert_eq!(coop.requests, wl.trace.len() as u64);
         assert_eq!(per_disk.coop_hits, 0);
         assert!(coop.coop_hits > 0, "no sibling-served hits");
@@ -2400,6 +2365,20 @@ mod tests {
             coop.io_time,
             per_disk.io_time
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "HDC plan for disk 0 exceeds its capacity of 256 blocks")]
+    fn plan_beyond_hdc_capacity_panics() {
+        let wl = small_wl(15);
+        let cfg = SystemConfig::segm().with_hdc(1 << 20);
+        let mut per_disk = vec![Vec::new(); 8];
+        per_disk[0] = (0..=u64::from(cfg.hdc_blocks()))
+            .map(forhdc_sim::PhysBlock::new)
+            .collect();
+        let _ = System::builder(cfg, &wl)
+            .plan(HdcPlan::from_per_disk(per_disk))
+            .build();
     }
 
     #[test]
@@ -2494,8 +2473,10 @@ mod tests {
             faulted_cfg(),
         ] {
             let base = System::new(cfg.clone(), &wl).run();
-            let zero =
-                System::new_faulted(cfg, &wl, SeededFaults::new(FaultConfig::new(1234))).run();
+            let zero = System::builder(cfg, &wl)
+                .faults(SeededFaults::new(FaultConfig::new(1234)))
+                .build()
+                .run();
             assert_reports_identical(&base, &zero);
         }
     }
@@ -2540,16 +2521,16 @@ mod tests {
             .with_media_rates(1e-3, 1e-2)
             .with_bus_rate(1e-3)
             .with_power_loss_period_ns(30_000_000);
-        let (r, audit) = System::new_traced_faulted_audited(
+        let (r, audit) = System::builder(
             faulted_cfg().with_recovery(RecoveryPolicy {
                 max_retries: 1,
                 ..RecoveryPolicy::default()
             }),
             &wl,
-            NullTracer,
-            SeededFaults::new(cfg),
-            FullAudit::new(),
         )
+        .faults(SeededFaults::new(cfg))
+        .auditor(FullAudit::new())
+        .build()
         .run_audited();
         assert_eq!(r.requests, wl.trace.len() as u64);
         assert!(r.faults.media_read_errors + r.faults.media_write_errors > 0);
@@ -2559,13 +2540,9 @@ mod tests {
     #[test]
     fn planted_violation_panics_with_the_structured_report() {
         let wl = small_wl(12);
-        let sys = System::new_traced_faulted_audited(
-            SystemConfig::segm(),
-            &wl,
-            NullTracer,
-            NoFaults,
-            FullAudit::with_planted_violation(5),
-        );
+        let sys = System::builder(SystemConfig::segm(), &wl)
+            .auditor(FullAudit::with_planted_violation(5))
+            .build();
         let err =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || sys.run())).unwrap_err();
         let msg = *err.downcast::<String>().unwrap();
@@ -2577,7 +2554,10 @@ mod tests {
     fn media_errors_degrade_but_never_wedge() {
         let wl = small_wl(10);
         let cfg = FaultConfig::new(7).with_media_rates(5e-3, 5e-3);
-        let r = System::new_faulted(SystemConfig::for_(), &wl, SeededFaults::new(cfg)).run();
+        let r = System::builder(SystemConfig::for_(), &wl)
+            .faults(SeededFaults::new(cfg))
+            .build()
+            .run();
         // Every request still completes (possibly as an error) …
         assert_eq!(r.requests, wl.trace.len() as u64);
         // … and faults were actually exercised.
@@ -2592,8 +2572,14 @@ mod tests {
             .with_media_rates(1e-3, 1e-3)
             .with_bus_rate(1e-3)
             .with_power_loss_period_ns(40_000_000);
-        let a = System::new_faulted(faulted_cfg(), &wl, SeededFaults::new(cfg.clone())).run();
-        let b = System::new_faulted(faulted_cfg(), &wl, SeededFaults::new(cfg)).run();
+        let a = System::builder(faulted_cfg(), &wl)
+            .faults(SeededFaults::new(cfg.clone()))
+            .build()
+            .run();
+        let b = System::builder(faulted_cfg(), &wl)
+            .faults(SeededFaults::new(cfg))
+            .build()
+            .run();
         assert_reports_identical(&a, &b);
     }
 
@@ -2607,7 +2593,10 @@ mod tests {
         };
         let healthy = System::new(SystemConfig::segm(), &wl).run();
         let cfg = FaultConfig::new(1).with_offline(window);
-        let r = System::new_faulted(SystemConfig::segm(), &wl, SeededFaults::new(cfg)).run();
+        let r = System::builder(SystemConfig::segm(), &wl)
+            .faults(SeededFaults::new(cfg))
+            .build()
+            .run();
         assert_eq!(r.requests, wl.trace.len() as u64);
         assert!(r.faults.offline_stalls > 0);
         // The stall costs time but nothing else degrades.
@@ -2627,12 +2616,10 @@ mod tests {
             .seed(13)
             .build();
         let cfg = FaultConfig::new(3).with_power_loss_period_ns(20_000_000);
-        let r = System::new_faulted(
-            SystemConfig::segm().with_hdc(2 * 1024 * 1024),
-            &wl,
-            SeededFaults::new(cfg),
-        )
-        .run();
+        let r = System::builder(SystemConfig::segm().with_hdc(2 * 1024 * 1024), &wl)
+            .faults(SeededFaults::new(cfg))
+            .build()
+            .run();
         assert!(r.faults.power_losses > 0);
         assert!(r.faults.lost_dirty_blocks > 0);
         // Every clean→dirty transition is accounted for exactly once.
@@ -2658,14 +2645,15 @@ mod tests {
             .with_media_rates(1e-3, 1e-2)
             .with_bus_rate(1e-3)
             .with_power_loss_period_ns(30_000_000);
-        let r = System::new_faulted(
+        let r = System::builder(
             faulted_cfg().with_recovery(RecoveryPolicy {
                 max_retries: 1,
                 ..RecoveryPolicy::default()
             }),
             &wl,
-            SeededFaults::new(cfg),
         )
+        .faults(SeededFaults::new(cfg))
+        .build()
         .run();
         assert_eq!(r.requests, wl.trace.len() as u64);
         assert_eq!(
@@ -2686,14 +2674,15 @@ mod tests {
             end_ns: u64::MAX,
         };
         let cfg = FaultConfig::new(2).with_offline(window);
-        let r = System::new_faulted(
+        let r = System::builder(
             SystemConfig::segm().with_recovery(RecoveryPolicy {
                 request_timeout: Some(SimDuration::from_millis(200)),
                 ..RecoveryPolicy::default()
             }),
             &wl,
-            SeededFaults::new(cfg),
         )
+        .faults(SeededFaults::new(cfg))
+        .build()
         .run();
         assert_eq!(r.requests, wl.trace.len() as u64);
         assert!(r.faults.timeouts > 0);
@@ -2706,13 +2695,11 @@ mod tests {
         let cfg = FaultConfig::new(5)
             .with_media_rates(2e-3, 2e-3)
             .with_bus_rate(1e-3);
-        let (r, tracer) = System::new_traced_faulted(
-            SystemConfig::for_(),
-            &wl,
-            forhdc_trace::MemTracer::new(),
-            SeededFaults::new(cfg),
-        )
-        .run_traced();
+        let (r, tracer) = System::builder(SystemConfig::for_(), &wl)
+            .tracer(forhdc_trace::MemTracer::new())
+            .faults(SeededFaults::new(cfg))
+            .build()
+            .run_traced();
         assert!(r.faults.media_read_errors + r.faults.media_write_errors > 0);
         let faults = tracer
             .events

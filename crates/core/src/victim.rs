@@ -13,7 +13,7 @@
 //! [`build_victim_workload`] derives, from an application-level access
 //! stream, both the disk-level trace *and* the interleaved
 //! pin/unpin command stream; [`crate::System`] applies the commands at
-//! the matching points of the replay (`System::with_hdc_commands`).
+//! the matching points of the replay ([`crate::SystemBuilder::hdc_commands`]).
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -52,7 +52,7 @@ pub struct VictimWorkload {
     /// The disk-level workload to replay.
     pub workload: Workload,
     /// Commands to apply before issuing the request with the given
-    /// issue index (`System::with_hdc_commands`).
+    /// issue index ([`crate::SystemBuilder::hdc_commands`]).
     pub commands: HashMap<u64, Vec<HdcCommand>>,
     /// Derivation statistics.
     pub stats: VictimBuildStats,

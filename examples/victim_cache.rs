@@ -65,13 +65,11 @@ fn main() {
         100.0 * top.hdc_hit_rate()
     );
 
-    let vic = System::with_plan(
-        SystemConfig::segm().with_hdc(HDC),
-        &vw.workload,
-        HdcPlan::empty(8),
-    )
-    .with_hdc_commands(vw.commands)
-    .run();
+    let vic = System::builder(SystemConfig::segm().with_hdc(HDC), &vw.workload)
+        .plan(HdcPlan::empty(8))
+        .hdc_commands(vw.commands)
+        .build()
+        .run();
     println!(
         "victim cache      : {}   (hit {:4.1}%)  — fully online, no profiling",
         vic.io_time,

@@ -44,13 +44,11 @@ fn victim_cache_beats_no_hdc_on_overflowing_working_sets() {
     );
     assert!(vw.stats.pins > 0, "no pins derived");
     let none = System::new(SystemConfig::segm(), &vw.workload).run();
-    let vic = System::with_plan(
-        SystemConfig::segm().with_hdc(HDC),
-        &vw.workload,
-        HdcPlan::empty(8),
-    )
-    .with_hdc_commands(vw.commands)
-    .run();
+    let vic = System::builder(SystemConfig::segm().with_hdc(HDC), &vw.workload)
+        .plan(HdcPlan::empty(8))
+        .hdc_commands(vw.commands)
+        .build()
+        .run();
     assert_eq!(vic.requests, vw.workload.trace.len() as u64);
     assert!(
         vic.hdc_hit_rate() > 0.02,
@@ -78,13 +76,11 @@ fn victim_pins_never_exceed_the_region() {
             streams: 16,
         },
     );
-    let r = System::with_plan(
-        SystemConfig::segm().with_hdc(64 * 4096),
-        &vw.workload,
-        HdcPlan::empty(8),
-    )
-    .with_hdc_commands(vw.commands)
-    .run();
+    let r = System::builder(SystemConfig::segm().with_hdc(64 * 4096), &vw.workload)
+        .plan(HdcPlan::empty(8))
+        .hdc_commands(vw.commands)
+        .build()
+        .run();
     // Net pinned at end <= capacity per disk * disks; lifetime pins can
     // be much larger.
     assert!(r.hdc.pins >= r.hdc.unpins);
