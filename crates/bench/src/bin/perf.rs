@@ -35,7 +35,7 @@ use forhdc_bench::RunOptions;
 use forhdc_cache::{
     BlockCache, BlockReplacement, ControllerCache, HdcRegion, SegmentCache, SegmentReplacement,
 };
-use forhdc_core::{System, SystemConfig};
+use forhdc_core::{plan_top_misses, System, SystemConfig};
 use forhdc_host::BufferCache;
 use forhdc_layout::{build_disk_bitmaps, check_bitmap_consistency, FileId, LayoutBuilder};
 use forhdc_runner::point_seed;
@@ -385,6 +385,41 @@ fn bench_layout(h: &mut Harness) {
     });
 }
 
+fn bench_planner(h: &mut Harness) {
+    // HDC planning as the simulator benchmark's clones run it (Web
+    // clone at scale 4 on a 16-KByte unit, file-server clone at scale 2
+    // on a 128-KByte unit, 2-MByte HDC): access counts, then each
+    // disk's hottest blocks; per block the trace touches.
+    let clones = [
+        (
+            "planner/top_misses_web",
+            ServerWorkloadSpec::web().scale(4.0),
+            16,
+        ),
+        (
+            "planner/top_misses_file_server",
+            ServerWorkloadSpec::file_server().scale(2.0),
+            128,
+        ),
+    ];
+    for (name, spec, unit_kib) in clones {
+        let trace = spec.generate().workload.trace;
+        let touched = trace
+            .block_access_counts()
+            .iter()
+            .filter(|&&c| c > 0)
+            .count();
+        let cfg = SystemConfig::for_()
+            .with_hdc(2 << 20)
+            .with_striping_unit(unit_kib << 10);
+        let striping =
+            StripingMap::new(cfg.array.virtual_disks(), cfg.array.striping_unit_blocks());
+        bench_pass(h, name, "blk", touched as u64, || {
+            plan_top_misses(&trace, &striping, cfg.hdc_blocks())
+        });
+    }
+}
+
 fn to_json(results: &[BenchResult], fast: bool, baseline: Option<&Vec<(String, f64)>>) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -558,6 +593,7 @@ fn main() -> ExitCode {
     bench_striping(&mut h);
     bench_calendar(&mut h);
     bench_layout(&mut h);
+    bench_planner(&mut h);
     bench_e2e(&mut h);
     bench_e2e_fig5(&mut h);
 

@@ -1938,6 +1938,31 @@ mod tests {
     }
 
     #[test]
+    fn systems_replay_the_workload_request_buffer() {
+        let wl = small_wl(3);
+        let a = System::new(SystemConfig::for_(), &wl);
+        let b = System::new(SystemConfig::segm(), &wl);
+        let buf = wl.trace.requests().as_ptr();
+        assert!(std::ptr::eq(a.driver.trace().requests().as_ptr(), buf));
+        assert!(std::ptr::eq(b.driver.trace().requests().as_ptr(), buf));
+    }
+
+    #[test]
+    fn extending_a_trace_clone_leaves_a_built_system_unchanged() {
+        let wl = small_wl(4);
+        let want = System::new(SystemConfig::for_(), &wl).run();
+        let sys = System::new(SystemConfig::for_(), &wl);
+        let mut grown = wl.clone();
+        grown
+            .trace
+            .extend(wl.trace.requests()[..10].iter().copied());
+        assert_eq!(grown.trace.len(), wl.trace.len() + 10);
+        assert_eq!(sys.driver.trace().len(), wl.trace.len());
+        let got = sys.run();
+        assert_eq!((got.requests, got.io_time), (want.requests, want.io_time));
+    }
+
+    #[test]
     fn runs_are_deterministic() {
         let wl = small_wl(2);
         let a = System::new(SystemConfig::for_(), &wl).run();

@@ -32,11 +32,10 @@ use forhdc_workload::{Trace, TraceRequest};
 /// ```
 #[derive(Debug)]
 pub struct StreamDriver {
-    // Flat replay state: one copy of the trace's request array plus
-    // per-job lengths, with jobs handed out as index ranges. No
-    // per-job queue allocations, no request moves after construction.
-    requests: Vec<TraceRequest>,
-    job_lens: Vec<u32>, // empty = every request is its own job
+    // Flat replay state: the trace itself (shared, not copied), with
+    // jobs handed out as index ranges over its requests. No per-job
+    // queue allocations, no request moves.
+    trace: Trace,
     job_count: usize,
     next_job: usize,
     next_req: usize,
@@ -49,7 +48,7 @@ pub struct StreamDriver {
 
 impl StreamDriver {
     /// Creates a driver replaying `trace`'s jobs over `streams`
-    /// streams.
+    /// streams. It shares `trace`'s buffers and copies no request.
     ///
     /// # Panics
     ///
@@ -57,8 +56,7 @@ impl StreamDriver {
     pub fn new(trace: &Trace, streams: u32) -> Self {
         assert!(streams > 0, "need at least one stream");
         StreamDriver {
-            requests: trace.requests().to_vec(),
-            job_lens: trace.job_lens().to_vec(),
+            trace: trace.clone(),
             job_count: trace.job_count(),
             next_job: 0,
             next_req: 0,
@@ -76,7 +74,7 @@ impl StreamDriver {
         if self.next_job >= self.job_count {
             return false;
         }
-        let len = match self.job_lens.get(self.next_job) {
+        let len = match self.trace.job_lens().get(self.next_job) {
             Some(&l) => l as usize,
             None => 1,
         };
@@ -95,7 +93,7 @@ impl StreamDriver {
                 break;
             }
             let (cur, _) = &mut self.cursor[s as usize];
-            let req = self.requests[*cur];
+            let req = self.trace.requests()[*cur];
             *cur += 1;
             self.in_flight += 1;
             self.issued += 1;
@@ -115,7 +113,7 @@ impl StreamDriver {
             return None;
         }
         let (cur, _) = &mut self.cursor[s];
-        let req = self.requests[*cur];
+        let req = self.trace.requests()[*cur];
         *cur += 1;
         self.in_flight += 1;
         self.issued += 1;
@@ -152,6 +150,11 @@ impl StreamDriver {
     /// Configured stream count.
     pub fn streams(&self) -> u32 {
         self.streams
+    }
+
+    /// The trace being replayed: the caller's, shared, not a copy.
+    pub fn trace(&self) -> &Trace {
+        &self.trace
     }
 }
 

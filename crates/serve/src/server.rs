@@ -581,10 +581,9 @@ fn serve_read<W: Wire>(
         );
     };
     match shared.engine.plan(file, offset, nblocks, &mut w.plan) {
-        Ok(()) => {
-            let delivered = w.send_read(&shared.engine).is_ok();
-            count_response(shared, delivered, OpKind::Read, t0, ST_OK)
-        }
+        Ok(()) => send_counted(shared, OpKind::Read, t0, ST_OK, || {
+            w.send_read(&shared.engine).is_ok()
+        }),
         Err(ReadError::Range(m)) => respond(shared, w, OpKind::Read, t0, ST_RANGE, m.as_bytes()),
         Err(ReadError::Internal(m)) => {
             // An internal error means the images failed underneath us:
@@ -678,13 +677,12 @@ impl<W: Wire> Responder<W> {
 }
 
 /// Sends one structured `ERR` response, counting it into
-/// `forhdc_errors_total{code=...}`; returns `false` when the peer is
-/// gone.
+/// `forhdc_errors_total{code=...}` first; returns `false` when the peer
+/// is gone.
 fn respond_err<W: Wire>(shared: &Shared, w: &mut Responder<W>, code: ErrorCode, msg: &str) -> bool {
     push_error(w.payload(), code, msg);
-    let delivered = w.send(ST_ERR);
     shared.metrics.error_counter(Some(code)).inc();
-    delivered
+    w.send(ST_ERR)
 }
 
 /// Sends one response with `payload`; returns `false` when the peer is
@@ -698,20 +696,30 @@ fn respond<W: Wire>(
     payload: &[u8],
 ) -> bool {
     w.payload().extend_from_slice(payload);
-    count_response(shared, w.send(status), op, t0, status)
+    send_counted(shared, op, t0, status, || w.send(status))
 }
 
-/// Counts a sent response: OK ones into the per-op request counters
-/// (and delivered ones into the per-op latency histogram), the rest
-/// into the unstructured error counter. Returns `delivered`.
-fn count_response(shared: &Shared, delivered: bool, op: OpKind, t0: Instant, status: u8) -> bool {
+/// Counts a response, then sends it with `send`: OK ones go into the
+/// per-op request counters, the rest into the unstructured error
+/// counter. Counting first means a client that has read the response
+/// and then scrapes `/metrics` sees it counted. A delivered OK
+/// response's latency goes into the per-op histogram. Returns whether
+/// the response was delivered.
+fn send_counted(
+    shared: &Shared,
+    op: OpKind,
+    t0: Instant,
+    status: u8,
+    send: impl FnOnce() -> bool,
+) -> bool {
     if status == ST_OK {
         shared.metrics.requests_total[op.index()].inc();
-        if delivered {
-            shared.metrics.op_latency_ns[op.index()].record(t0.elapsed().as_nanos() as u64);
-        }
     } else {
         shared.metrics.error_counter(None).inc();
+    }
+    let delivered = send();
+    if delivered && status == ST_OK {
+        shared.metrics.op_latency_ns[op.index()].record(t0.elapsed().as_nanos() as u64);
     }
     delivered
 }

@@ -6,6 +6,8 @@
 //! this). Requests are replayed by the closed-loop stream driver "as
 //! fast as possible" to find the maximum throughput.
 
+use std::sync::Arc;
+
 use forhdc_layout::FileMap;
 use forhdc_sim::{LogicalBlock, ReadWrite};
 
@@ -27,19 +29,23 @@ pub struct TraceRequest {
 /// issues a job's requests sequentially on one stream — a server
 /// worker handles one file at a time — while different jobs run
 /// concurrently across streams.
+///
+/// The requests and job lengths are shared, not owned: `clone` is O(1)
+/// and copies no request, so every replay of one workload reads the
+/// same buffer. [`Extend`] copies on write when the buffer is shared.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    requests: Vec<TraceRequest>,
+    requests: Arc<Vec<TraceRequest>>,
     /// Length of each job; empty means every request is its own job.
-    job_lens: Vec<u32>,
+    job_lens: Arc<Vec<u32>>,
 }
 
 impl Trace {
     /// Creates a trace where every request is an independent job.
     pub fn new(requests: Vec<TraceRequest>) -> Self {
         Trace {
-            requests,
-            job_lens: Vec::new(),
+            requests: Arc::new(requests),
+            job_lens: Arc::default(),
         }
     }
 
@@ -57,7 +63,10 @@ impl Trace {
             "job lengths must cover the requests"
         );
         assert!(job_lens.iter().all(|&l| l > 0), "jobs must be non-empty");
-        Trace { requests, job_lens }
+        Trace {
+            requests: Arc::new(requests),
+            job_lens: Arc::new(job_lens),
+        }
     }
 
     /// Number of jobs.
@@ -137,7 +146,7 @@ impl Trace {
     /// misses in the buffer cache").
     pub fn block_access_counts(&self) -> Vec<u32> {
         let mut counts = vec![0u32; self.footprint_blocks() as usize];
-        for r in &self.requests {
+        for r in self.requests.iter() {
             for i in 0..r.nblocks as u64 {
                 counts[(r.start.index() + i) as usize] += 1;
             }
@@ -188,12 +197,13 @@ impl FromIterator<TraceRequest> for Trace {
 
 impl Extend<TraceRequest> for Trace {
     fn extend<I: IntoIterator<Item = TraceRequest>>(&mut self, iter: I) {
-        let before = self.requests.len();
-        self.requests.extend(iter);
+        let requests = Arc::make_mut(&mut self.requests);
+        let before = requests.len();
+        requests.extend(iter);
+        let added = requests.len() - before;
         if !self.job_lens.is_empty() {
             // Appended requests become singleton jobs.
-            self.job_lens
-                .extend(std::iter::repeat_n(1, self.requests.len() - before));
+            Arc::make_mut(&mut self.job_lens).extend(std::iter::repeat_n(1, added));
         }
     }
 }
@@ -295,6 +305,38 @@ mod tests {
         t.extend([req(5, 1, ReadWrite::Write)]);
         assert_eq!(t.job_count(), 2);
         assert_eq!(t.jobs().last().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn clone_shares_the_request_buffer() {
+        let t = Trace::with_jobs(vec![req(0, 1, ReadWrite::Read); 4], vec![2, 2]);
+        let c = t.clone();
+        assert!(std::ptr::eq(t.requests().as_ptr(), c.requests().as_ptr()));
+        assert!(std::ptr::eq(t.job_lens().as_ptr(), c.job_lens().as_ptr()));
+    }
+
+    #[test]
+    fn extend_on_a_clone_leaves_the_original() {
+        let t = Trace::with_jobs(vec![req(0, 1, ReadWrite::Read); 2], vec![2]);
+        let mut c = t.clone();
+        c.extend([req(7, 1, ReadWrite::Write)]);
+        assert_eq!((c.len(), c.job_lens()), (3, &[2, 1][..]));
+        assert_eq!((t.len(), t.job_lens()), (2, &[2][..]));
+        assert!(!std::ptr::eq(t.requests().as_ptr(), c.requests().as_ptr()));
+    }
+
+    #[test]
+    fn workload_clone_copies_no_requests() {
+        let wl = crate::SyntheticWorkload::builder()
+            .requests(50)
+            .files(100)
+            .seed(3)
+            .build();
+        let copy = wl.clone();
+        assert!(std::ptr::eq(
+            wl.trace.requests().as_ptr(),
+            copy.trace.requests().as_ptr()
+        ));
     }
 
     #[test]
