@@ -404,17 +404,13 @@ fn bench_planner(h: &mut Harness) {
     ];
     for (name, spec, unit_kib) in clones {
         let trace = spec.generate().workload.trace;
-        let touched = trace
-            .block_access_counts()
-            .iter()
-            .filter(|&&c| c > 0)
-            .count();
+        let touched = trace.block_access_counts().distinct();
         let cfg = SystemConfig::for_()
             .with_hdc(2 << 20)
             .with_striping_unit(unit_kib << 10);
         let striping =
             StripingMap::new(cfg.array.virtual_disks(), cfg.array.striping_unit_blocks());
-        bench_pass(h, name, "blk", touched as u64, || {
+        bench_pass(h, name, "blk", touched, || {
             plan_top_misses(&trace, &striping, cfg.hdc_blocks())
         });
     }

@@ -14,9 +14,12 @@
 //!   match every statistic the paper reports (see `DESIGN.md` §3).
 //! * [`Trace`] — the disk-level access log fed to the simulator, plus
 //!   popularity statistics (Figure 2).
+//! * [`BlockCounts`] — exact per-block access counts in one byte per
+//!   block, the input to Figure 2 and the HDC planner.
 //! * [`io`] — plain-text trace/layout serialization, so real logs can
 //!   be converted and replayed.
 
+pub mod counts;
 pub mod io;
 pub mod server;
 pub mod stats;
@@ -25,6 +28,7 @@ pub mod trace;
 pub mod util;
 pub mod zipf;
 
+pub use counts::BlockCounts;
 pub use server::{ServerKind, ServerWorkload, ServerWorkloadSpec};
 pub use synth::{SyntheticWorkload, SyntheticWorkloadBuilder};
 pub use trace::{Trace, TraceRequest, Workload};

@@ -38,16 +38,14 @@ pub struct TraceSummary {
 /// ```
 pub fn summarize(trace: &Trace, block_bytes: u32) -> TraceSummary {
     let counts = trace.block_access_counts();
-    let distinct = counts.iter().filter(|&&c| c > 0).count() as u64;
-    let max = counts.iter().copied().max().unwrap_or(0);
     TraceSummary {
         requests: trace.len(),
-        distinct_blocks: distinct,
+        distinct_blocks: counts.distinct(),
         footprint_blocks: trace.footprint_blocks(),
         footprint_bytes: trace.footprint_blocks() * block_bytes as u64,
         mean_request_kb: trace.mean_request_blocks() * block_bytes as f64 / 1024.0,
         write_fraction: trace.write_fraction(),
-        max_block_accesses: max,
+        max_block_accesses: counts.max(),
     }
 }
 

@@ -11,6 +11,8 @@ use std::sync::Arc;
 use forhdc_layout::FileMap;
 use forhdc_sim::{LogicalBlock, ReadWrite};
 
+use crate::counts::BlockCounts;
+
 /// One logged disk access: a contiguous logical extent, read or written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRequest {
@@ -63,6 +65,10 @@ impl Trace {
             "job lengths must cover the requests"
         );
         assert!(job_lens.iter().all(|&l| l > 0), "jobs must be non-empty");
+        if job_lens.iter().all(|&l| l == 1) {
+            // Every request its own job: the default needs no lengths.
+            return Trace::new(requests);
+        }
         Trace {
             requests: Arc::new(requests),
             job_lens: Arc::new(job_lens),
@@ -140,27 +146,28 @@ impl Trace {
             .unwrap_or(0)
     }
 
-    /// Per-block access counts over the whole trace, indexed by logical
-    /// block up to the footprint. This is the raw data of Figure 2 and
-    /// the input to the HDC planner ("the blocks that cause the most
-    /// misses in the buffer cache").
-    pub fn block_access_counts(&self) -> Vec<u32> {
-        let mut counts = vec![0u32; self.footprint_blocks() as usize];
+    /// Per-block access counts over the whole trace, up to the
+    /// footprint. This is the raw data of Figure 2 and the input to the
+    /// HDC planner ("the blocks that cause the most misses in the
+    /// buffer cache").
+    pub fn block_access_counts(&self) -> BlockCounts {
+        let mut counts = BlockCounts::with_footprint(self.footprint_blocks());
         for r in self.requests.iter() {
-            for i in 0..r.nblocks as u64 {
-                counts[(r.start.index() + i) as usize] += 1;
-            }
+            counts.add(r);
         }
         counts
     }
 
     /// Access counts of the `top` most-accessed blocks, descending —
-    /// the Figure 2 curve.
+    /// the Figure 2 curve. Blocks of the footprint the trace never
+    /// touched rank last, with count 0.
     pub fn popularity_curve(&self, top: usize) -> Vec<u32> {
-        let mut counts = self.block_access_counts();
-        counts.sort_unstable_by(|a, b| b.cmp(a));
-        counts.truncate(top);
-        counts
+        let counts = self.block_access_counts();
+        let mut curve: Vec<u32> = counts.iter().map(|(_, c)| c).collect();
+        curve.sort_unstable_by(|a, b| b.cmp(a));
+        curve.truncate(top);
+        curve.resize(top.min(counts.footprint() as usize), 0);
+        curve
     }
 }
 
@@ -266,9 +273,27 @@ mod tests {
             req(1, 2, ReadWrite::Read),
             req(1, 1, ReadWrite::Write),
         ]);
-        assert_eq!(t.block_access_counts(), vec![1, 3, 1]);
+        let counts = t.block_access_counts();
+        assert_eq!(
+            counts.iter().collect::<Vec<_>>(),
+            vec![(0, 1), (1, 3), (2, 1)]
+        );
         assert_eq!(t.popularity_curve(2), vec![3, 1]);
         assert_eq!(t.popularity_curve(10), vec![3, 1, 1]);
+    }
+
+    #[test]
+    fn popularity_curve_pads_with_untouched_blocks() {
+        // Footprint 6, three blocks touched: the curve lists the three
+        // untouched blocks of the footprint as zeros, and no more.
+        let t = Trace::new(vec![
+            req(1, 1, ReadWrite::Read),
+            req(1, 1, ReadWrite::Read),
+            req(3, 1, ReadWrite::Read),
+            req(5, 1, ReadWrite::Write),
+        ]);
+        assert_eq!(t.popularity_curve(4), vec![2, 1, 1, 0]);
+        assert_eq!(t.popularity_curve(10), vec![2, 1, 1, 0, 0, 0]);
     }
 
     #[test]
@@ -285,6 +310,18 @@ mod tests {
         assert_eq!(t.job_count(), 3);
         let jobs: Vec<usize> = t.jobs().map(|j| j.len()).collect();
         assert_eq!(jobs, vec![2, 1, 2]);
+    }
+
+    #[test]
+    fn all_ones_job_lengths_are_not_stored() {
+        let reqs: Vec<TraceRequest> = (0..4).map(|i| req(i, 1, ReadWrite::Read)).collect();
+        let ones = Trace::with_jobs(reqs.clone(), vec![1; 4]);
+        assert!(ones.job_lens().is_empty());
+        assert_eq!(ones.job_count(), 4);
+        let want: Vec<&[TraceRequest]> = reqs.chunks(1).collect();
+        assert_eq!(ones.jobs().collect::<Vec<_>>(), want);
+        let mixed = Trace::with_jobs(reqs, vec![1, 2, 1]);
+        assert_eq!(mixed.job_lens(), &[1, 2, 1]);
     }
 
     #[test]

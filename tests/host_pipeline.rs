@@ -92,12 +92,7 @@ fn disk_level_trace_has_little_temporal_locality() {
     );
     // Application-level: the hottest file is accessed thousands of
     // times. Disk-level: its blocks only on buffer-cache misses.
-    let disk_hottest = *derived
-        .trace
-        .block_access_counts()
-        .iter()
-        .max()
-        .unwrap_or(&0);
+    let disk_hottest = derived.trace.block_access_counts().max();
     let app_hottest = {
         let mut counts = vec![0u32; 2_000];
         for a in &accesses {
