@@ -16,7 +16,7 @@
 //! to end that a crashing job yields a manifest failure record and a
 //! non-zero exit while sibling jobs complete.
 
-use forhdc_core::{FaultConfig, OfflineWindow, RecoveryPolicy, SeededFaults, System, SystemConfig};
+use forhdc_core::{FaultConfig, OfflineWindow, RetryPolicy, SeededFaults, System, SystemConfig};
 use forhdc_runner::{point_seed, JobOutput, JobSpec, SimJob};
 use forhdc_sim::SimDuration;
 use forhdc_workload::SyntheticWorkload;
@@ -73,10 +73,10 @@ fn schedule(row: usize, rate: f64) -> FaultConfig {
 
 /// Retry/backoff defaults plus a 10 s request timeout, so even a
 /// pathological schedule cannot wedge a run.
-fn recovery() -> RecoveryPolicy {
-    RecoveryPolicy {
-        request_timeout: Some(SimDuration::from_secs(10)),
-        ..RecoveryPolicy::default()
+fn recovery() -> RetryPolicy {
+    RetryPolicy {
+        deadline_ns: Some(10_000_000_000),
+        ..RetryPolicy::default()
     }
 }
 

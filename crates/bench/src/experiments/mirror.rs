@@ -20,7 +20,7 @@
 //! byte-identically.
 
 use forhdc_core::{
-    FaultConfig, OfflineWindow, RebuildConfig, RecoveryPolicy, SeededFaults, System, SystemConfig,
+    FaultConfig, OfflineWindow, RebuildConfig, RetryPolicy, SeededFaults, System, SystemConfig,
 };
 use forhdc_runner::{point_seed, JobOutput, JobSpec, SimJob};
 use forhdc_sim::{ReadSplit, SimDuration};
@@ -84,10 +84,10 @@ fn rebuild(rate: u64) -> RebuildConfig {
 
 /// Retry/backoff defaults plus a 10 s request timeout, mirroring
 /// `fig-faults`: a pathological schedule cannot wedge a run.
-fn recovery() -> RecoveryPolicy {
-    RecoveryPolicy {
-        request_timeout: Some(SimDuration::from_secs(10)),
-        ..RecoveryPolicy::default()
+fn recovery() -> RetryPolicy {
+    RetryPolicy {
+        deadline_ns: Some(10_000_000_000),
+        ..RetryPolicy::default()
     }
 }
 

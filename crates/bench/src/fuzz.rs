@@ -26,7 +26,7 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use forhdc_core::{FaultConfig, FullAudit, RecoveryPolicy, SeededFaults, System, SystemConfig};
+use forhdc_core::{FaultConfig, FullAudit, RetryPolicy, SeededFaults, System, SystemConfig};
 use forhdc_runner::{JobOutput, JobSpec, SimJob};
 use forhdc_sim::SimDuration;
 use forhdc_trace::MemTracer;
@@ -288,9 +288,9 @@ fn run_case_inner(case: &FuzzCase) -> Result<(), String> {
     // 4. Faulted checked run: degraded-mode paths keep the invariants
     // too. A request timeout keeps pathological schedules from
     // wedging the iteration.
-    let cfg = case.system_config().with_recovery(RecoveryPolicy {
-        request_timeout: Some(SimDuration::from_secs(10)),
-        ..RecoveryPolicy::default()
+    let cfg = case.system_config().with_recovery(RetryPolicy {
+        deadline_ns: Some(10_000_000_000),
+        ..RetryPolicy::default()
     });
     let faults = SeededFaults::new(case.fault_config());
     let (faulted, _) = System::builder(cfg, &wl)

@@ -43,11 +43,11 @@ pub mod victim;
 pub use controller::DiskController;
 pub use forhdc_check::{Auditor, FinalDigest, FullAudit, NoChecks, VIOLATION_PREFIX};
 pub use forhdc_fault::{
-    FaultConfig, FaultModel, FaultStats, NoFaults, OfflineWindow, SeededFaults,
+    FaultConfig, FaultModel, FaultStats, NoFaults, OfflineWindow, RetryPolicy, SeededFaults,
 };
 pub use latency::LatencyHistogram;
 pub use planner::{plan_cooperative, plan_periodic, plan_top_misses, CoopPlan, HdcPlan};
 pub use policy::ReadAheadKind;
 pub use report::Report;
-pub use system::{RebuildConfig, RecoveryPolicy, System, SystemBuilder, SystemConfig};
+pub use system::{RebuildConfig, System, SystemBuilder, SystemConfig};
 pub use victim::{build_victim_workload, HdcCommand, VictimConfig, VictimWorkload};

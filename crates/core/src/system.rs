@@ -14,9 +14,10 @@ use std::collections::HashMap;
 use forhdc_cache::fx::{fx_map_with_capacity, FxHashMap};
 use forhdc_cache::{BlockReplacement, SegmentReplacement};
 use forhdc_check::{Auditor, FinalDigest, FullAudit, NoChecks};
-use forhdc_fault::{FaultModel, FaultStats, NoFaults};
+use forhdc_fault::{FaultModel, FaultStats, NoFaults, RetryPolicy};
 use forhdc_host::StreamDriver;
 use forhdc_layout::build_disk_bitmaps;
+use forhdc_sim::mirror::{self, MirrorRouter, Route};
 use forhdc_sim::sched::{QueuedOp, Scheduler};
 use forhdc_sim::{
     ArrayConfig, BusModel, DiskId, DiskMechanics, DiskStats, LaneCalendar, ReadSplit, ReadWrite,
@@ -30,40 +31,6 @@ use crate::planner::{plan_cooperative, plan_top_misses, HdcPlan};
 use crate::policy::ReadAheadKind;
 use crate::report::Report;
 use crate::victim::HdcCommand;
-
-/// How the array reacts to injected faults: bounded retries with
-/// exponential backoff in simulated time, plus an optional per-request
-/// timeout. Only consulted when the attached [`FaultModel`] is
-/// enabled, so the fault-free path never reads it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Retries allowed per operation before it completes with an
-    /// error (media) or the transfer is abandoned (bus).
-    pub max_retries: u32,
-    /// First-retry backoff; attempt `n` waits `base << n`.
-    pub backoff_base: SimDuration,
-    /// Host requests still pending after this long complete with an
-    /// error (`None` = never time out).
-    pub request_timeout: Option<SimDuration>,
-}
-
-impl RecoveryPolicy {
-    /// Backoff before retrying after `attempt` failed tries
-    /// (exponential, clamped so the shift cannot overflow).
-    pub fn backoff(&self, attempt: u32) -> SimDuration {
-        self.backoff_base * (1u64 << attempt.min(20))
-    }
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_retries: 3,
-            backoff_base: SimDuration::from_millis(1),
-            request_timeout: None,
-        }
-    }
-}
 
 /// A mirror reconstruction running alongside the workload: starting at
 /// `start`, the target member is rebuilt from its twin, one paced chunk
@@ -120,9 +87,10 @@ pub struct SystemConfig {
     /// Only consulted when the attached tracer is enabled; sampling
     /// never perturbs the simulation itself.
     pub trace_sample_period: Option<SimDuration>,
-    /// Fault recovery policy (retries, backoff, timeout). Inert unless
-    /// a fault model is attached.
-    pub recovery: RecoveryPolicy,
+    /// Fault recovery policy (retries, backoff, deadline). Inert unless
+    /// a fault model is attached. The simulator waits its jitter-free
+    /// backoff and enforces the deadline with a timeout event.
+    pub recovery: RetryPolicy,
     /// Optional mirror reconstruction running as background media
     /// traffic (requires a mirrored array).
     pub rebuild: Option<RebuildConfig>,
@@ -139,7 +107,7 @@ impl SystemConfig {
             cooperative_hdc: false,
             hdc_flush_period: None,
             trace_sample_period: None,
-            recovery: RecoveryPolicy::default(),
+            recovery: RetryPolicy::default(),
             rebuild: None,
         }
     }
@@ -262,8 +230,8 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the fault recovery policy (retries/backoff/timeout).
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
+    /// Sets the fault recovery policy (retries/backoff/deadline).
+    pub fn with_recovery(mut self, recovery: RetryPolicy) -> Self {
         self.recovery = recovery;
         self
     }
@@ -482,9 +450,8 @@ pub struct System<T: Tracer = NullTracer, F: FaultModel = NoFaults, A: Auditor =
     /// Reusable buffer for striping splits (no per-request
     /// allocation on the issue path).
     split_buf: Vec<forhdc_sim::request::DiskExtent>,
-    /// Round-robin read-split state: per virtual disk, whether the odd
-    /// member serves the next read (mirrored arrays only).
-    rr_next: Vec<bool>,
+    /// Picks the member that serves each mirrored read.
+    router: MirrorRouter,
     /// Mirrored reads routed in total, and the subset routed by the
     /// configured policy. The remainder were failovers (counted in
     /// `fstats.failover_reads`), so
@@ -733,21 +700,20 @@ impl<'w, T: Tracer, F: FaultModel, A: Auditor> SystemBuilder<'w, T, F, A> {
         } else {
             (0..virtual_disks).map(|_| None).collect()
         };
-        let disks: Vec<DiskState> = (0..cfg.array.disks as usize)
+        let disks: Vec<DiskState> = (0..cfg.array.disks)
             .map(|pd| {
-                let vd = if cfg.array.mirrored { pd / 2 } else { pd };
-                // The second (or only) consumer of a virtual disk's
-                // bitmap takes ownership; only the first mirror member
-                // pays for a copy.
-                let bitmap = if cfg.array.mirrored && pd % 2 == 0 {
-                    bitmaps[vd].clone()
+                let vd = mirror::virtual_disk(pd, cfg.array.mirrored);
+                // The last (or only) member of a virtual disk takes its
+                // bitmap; an earlier mirror member pays for a copy.
+                let bitmap = if pd + 1 < mirror::members(vd, cfg.array.mirrored).end {
+                    bitmaps[vd as usize].clone()
                 } else {
-                    bitmaps[vd].take()
+                    bitmaps[vd as usize].take()
                 };
                 let mut ctl =
                     DiskController::new(&cfg.array.disk, cfg.read_ahead, cfg.hdc_blocks(), bitmap)
                         .with_replacement(cfg.block_replacement, cfg.segment_replacement);
-                for &block in plan.blocks_for(vd) {
+                for &block in plan.blocks_for(vd as usize) {
                     // The initial pin loads happen before the replay and
                     // are amortized over the period (§5), so they are
                     // not charged to the I/O time.
@@ -776,7 +742,7 @@ impl<'w, T: Tracer, F: FaultModel, A: Auditor> SystemBuilder<'w, T, F, A> {
         let bus = BusModel::new(cfg.array.bus_rate, cfg.array.bus_overhead);
         let driver = StreamDriver::new(&workload.trace, workload.streams);
         let lanes = disks.len() + HOST_LANES;
-        let mirrored = cfg.array.mirrored;
+        let router = MirrorRouter::new(cfg.array.read_split, virtual_disks);
         System {
             tracer,
             faults,
@@ -805,11 +771,7 @@ impl<'w, T: Tracer, F: FaultModel, A: Auditor> SystemBuilder<'w, T, F, A> {
             coop_hits: 0,
             flush_buf: Vec::new(),
             split_buf: Vec::new(),
-            rr_next: if mirrored {
-                vec![false; virtual_disks as usize]
-            } else {
-                Vec::new()
-            },
+            router,
             mirror_reads: 0,
             mirror_policy_reads: 0,
             rebuild_next: 0,
@@ -947,10 +909,11 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
             },
         );
         if self.faults.enabled() {
-            if let Some(timeout) = self.cfg.recovery.request_timeout {
+            if let Some(deadline) = self.cfg.recovery.deadline_ns {
                 let lane = self.host_lane(LANE_TIMEOUT);
+                let at = now + SimDuration::from_nanos(deadline);
                 self.queue
-                    .schedule_lane(lane, now + timeout, Event::Timeout { req: id });
+                    .schedule_lane(lane, at, Event::Timeout { req: id });
             }
         }
         let mut remaining = 0u32;
@@ -968,77 +931,6 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
         self.disks.len() + k
     }
 
-    /// The physical members backing a virtual disk. They are adjacent,
-    /// so a plain range covers both cases without allocating.
-    fn members(&self, vd: usize) -> std::ops::Range<usize> {
-        if self.cfg.array.mirrored {
-            2 * vd..2 * vd + 2
-        } else {
-            vd..vd + 1
-        }
-    }
-
-    /// Picks the mirror member to serve a read. A member inside an
-    /// offline window never wins while its twin is up — the pair
-    /// degrades to single-copy service instead of stalling the request
-    /// (counted as a failover read). Otherwise the configured
-    /// [`ReadSplit`] policy decides; the default `ClosestCopy` prefers
-    /// a member that already caches the extent, else the less-loaded
-    /// one.
-    fn pick_read_member(
-        &mut self,
-        vd: usize,
-        start: forhdc_sim::PhysBlock,
-        nblocks: u32,
-        now: SimTime,
-    ) -> usize {
-        let a = 2 * vd;
-        let b = 2 * vd + 1;
-        self.mirror_reads += 1;
-        if self.faults.enabled() {
-            let a_off = self
-                .faults
-                .offline_until(a as u16, now.as_nanos())
-                .is_some();
-            let b_off = self
-                .faults
-                .offline_until(b as u16, now.as_nanos())
-                .is_some();
-            if a_off != b_off {
-                self.fstats.failover_reads += 1;
-                return if a_off { b } else { a };
-            }
-        }
-        self.mirror_policy_reads += 1;
-        let load = |d: &Self, i: usize| d.disks[i].sched.len() + usize::from(d.disks[i].busy);
-        match self.cfg.array.read_split {
-            ReadSplit::PrimaryOnly => a,
-            ReadSplit::RoundRobin => {
-                let flip = &mut self.rr_next[vd];
-                let pick = if *flip { b } else { a };
-                *flip = !*flip;
-                pick
-            }
-            ReadSplit::ShortestQueue => {
-                if load(self, b) < load(self, a) {
-                    b
-                } else {
-                    a
-                }
-            }
-            ReadSplit::ClosestCopy => {
-                if self.disks[a].ctl.covers(start, nblocks) {
-                    a
-                } else if self.disks[b].ctl.covers(start, nblocks) || load(self, b) < load(self, a)
-                {
-                    b
-                } else {
-                    a
-                }
-            }
-        }
-    }
-
     /// Applies one host HDC command: a pin moves one block of data
     /// host→controller over the shared bus; an unpin is command-only.
     fn apply_hdc_command(&mut self, cmd: HdcCommand, now: SimTime) {
@@ -1047,23 +939,23 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
                 let (disk, phys) = self.striping.locate(logical);
                 let block_bytes = self.cfg.array.disk.block_bytes() as u64;
                 self.bus.reserve(now, block_bytes);
-                for m in self.members(disk.as_usize()) {
-                    let _ = self.disks[m].ctl.pin(phys);
+                for m in mirror::members(disk.index(), self.cfg.array.mirrored) {
+                    let _ = self.disks[m as usize].ctl.pin(phys);
                 }
                 disk
             }
             HdcCommand::Unpin(logical) => {
                 let (disk, phys) = self.striping.locate(logical);
-                for m in self.members(disk.as_usize()) {
-                    self.disks[m].ctl.unpin(phys);
+                for m in mirror::members(disk.index(), self.cfg.array.mirrored) {
+                    self.disks[m as usize].ctl.unpin(phys);
                 }
                 disk
             }
         };
         if self.auditor.enabled() {
             // The HDC pin/unpin audit point.
-            for m in self.members(disk.as_usize()) {
-                self.audit_disk(m, now);
+            for m in mirror::members(disk.index(), self.cfg.array.mirrored) {
+                self.audit_disk(m as usize, now);
             }
         }
     }
@@ -1078,31 +970,33 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
         kind: ReadWrite,
         now: SimTime,
     ) -> u32 {
-        if !self.cfg.array.mirrored {
-            self.dispatch(
-                id,
-                extent.disk.as_usize(),
-                extent.start,
-                extent.nblocks,
-                kind,
-                now,
+        let (start, nblocks) = (extent.start, extent.nblocks);
+        if self.cfg.array.mirrored && !kind.is_write() {
+            // A member inside an offline window never wins while its
+            // twin is up: the pair degrades to single-copy service (a
+            // failover read) instead of stalling the request.
+            let (disks, faults) = (&self.disks, &self.faults);
+            let route = self.router.pick(
+                extent.disk.index(),
+                |m| faults.enabled() && faults.offline_until(m, now.as_nanos()).is_some(),
+                |m| disks[m as usize].ctl.covers(start, nblocks),
+                |m| disks[m as usize].sched.len() + usize::from(disks[m as usize].busy),
             );
+            self.mirror_reads += 1;
+            match route {
+                Route::Failover(_) => self.fstats.failover_reads += 1,
+                Route::Policy(_) => self.mirror_policy_reads += 1,
+            }
+            self.dispatch(id, route.member() as usize, start, nblocks, kind, now);
             return 1;
         }
-        let vd = extent.disk.as_usize();
-        match kind {
-            ReadWrite::Read => {
-                let member = self.pick_read_member(vd, extent.start, extent.nblocks, now);
-                self.dispatch(id, member, extent.start, extent.nblocks, kind, now);
-                1
-            }
-            ReadWrite::Write => {
-                // Both members must be updated.
-                self.dispatch(id, 2 * vd, extent.start, extent.nblocks, kind, now);
-                self.dispatch(id, 2 * vd + 1, extent.start, extent.nblocks, kind, now);
-                2
-            }
+        // Every member must be updated; an unmirrored disk is its own
+        // only member.
+        let members = mirror::members(extent.disk.index(), self.cfg.array.mirrored);
+        for m in members.clone() {
+            self.dispatch(id, m as usize, start, nblocks, kind, now);
         }
+        members.len() as u32
     }
 
     /// Whether a read extent is fully covered by the cooperative pin
@@ -1344,7 +1238,7 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
         let left = rb.total_blocks - self.rebuild_next;
         let n = (rb.chunk_blocks as u64).min(left) as u32;
         let start = forhdc_sim::PhysBlock::new(self.rebuild_next);
-        let src = (rb.disk ^ 1) as usize;
+        let src = mirror::twin(rb.disk) as usize;
         let token = REBUILD_TOKEN_BASE + self.next_req;
         self.next_req += 1;
         // Anchor the pacing to the chunk's issue time, so a cap of R
@@ -1476,7 +1370,7 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
         let policy = self.cfg.recovery;
         if op.attempt < policy.max_retries {
             self.fstats.retries += 1;
-            let delay = policy.backoff(op.attempt);
+            let delay = SimDuration::from_nanos(policy.backoff_ns(op.attempt));
             if self.tracer.enabled() {
                 self.tracer.emit(TraceEvent::Retry {
                     t: now.as_nanos(),
@@ -1650,7 +1544,7 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
             let policy = self.cfg.recovery;
             if attempt < policy.max_retries {
                 self.fstats.retries += 1;
-                let delay = policy.backoff(attempt);
+                let delay = SimDuration::from_nanos(policy.backoff_ns(attempt));
                 if self.tracer.enabled() {
                     self.tracer.emit(TraceEvent::Retry {
                         t: now.as_nanos(),
@@ -2547,9 +2441,9 @@ mod tests {
             .with_bus_rate(1e-3)
             .with_power_loss_period_ns(30_000_000);
         let (r, audit) = System::builder(
-            faulted_cfg().with_recovery(RecoveryPolicy {
+            faulted_cfg().with_recovery(RetryPolicy {
                 max_retries: 1,
-                ..RecoveryPolicy::default()
+                ..RetryPolicy::default()
             }),
             &wl,
         )
@@ -2671,9 +2565,9 @@ mod tests {
             .with_bus_rate(1e-3)
             .with_power_loss_period_ns(30_000_000);
         let r = System::builder(
-            faulted_cfg().with_recovery(RecoveryPolicy {
+            faulted_cfg().with_recovery(RetryPolicy {
                 max_retries: 1,
-                ..RecoveryPolicy::default()
+                ..RetryPolicy::default()
             }),
             &wl,
         )
@@ -2700,9 +2594,9 @@ mod tests {
         };
         let cfg = FaultConfig::new(2).with_offline(window);
         let r = System::builder(
-            SystemConfig::segm().with_recovery(RecoveryPolicy {
-                request_timeout: Some(SimDuration::from_millis(200)),
-                ..RecoveryPolicy::default()
+            SystemConfig::segm().with_recovery(RetryPolicy {
+                deadline_ns: Some(200_000_000),
+                ..RetryPolicy::default()
             }),
             &wl,
         )

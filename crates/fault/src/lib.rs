@@ -25,9 +25,9 @@
 //!   discard volatile cache contents; dirty HDC blocks that were not
 //!   yet flushed become *lost writes*.
 //!
-//! The engine only *decides* faults; the recovery policy (retries,
-//! backoff, timeouts, degraded read-ahead) lives in `forhdc-core`,
-//! which also tallies the outcome into a [`FaultStats`].
+//! The engine only *decides* faults. [`RetryPolicy`] bounds the
+//! recovery of both planes; `forhdc-core` applies it (with degraded
+//! read-ahead) and tallies the outcome into a [`FaultStats`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -231,48 +231,52 @@ impl FaultModel for SeededFaults {
     }
 }
 
-/// Wall-clock recovery policy for the live serving path
-/// (`forhdc-serve`): bounded retries with exponential backoff plus
-/// deterministic jitter, and an optional per-request deadline that
-/// preempts remaining retries. The simulator's `RecoveryPolicy`
-/// (forhdc-core) is its sim-time twin; this one works in wall-clock
-/// nanoseconds and derives its jitter from `(seed, request, attempt)`
-/// with the same splitmix finalizer the media-error decision uses, so
-/// a backoff schedule is a pure function of the schedule seed —
-/// replayable, and unit-testable without sleeping.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WallPolicy {
+/// The recovery policy of both planes: bounded retries with
+/// exponential backoff under a cap, and an optional per-request
+/// deadline, in nanoseconds of the plane's clock (simulated or wall).
+/// The simulator waits the jitter-free [`RetryPolicy::backoff_ns`];
+/// the live server and `loadgen` wait [`RetryPolicy::next_backoff_ns`],
+/// which adds jitter pure in `(seed, request, attempt)` (the
+/// media-error splitmix finalizer) and lets the deadline preempt the
+/// remaining retries. Both schedules replay exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryPolicy {
     /// Retries allowed per operation after the initial attempt fails.
     pub max_retries: u32,
-    /// Backoff before the first retry; retry `n` (1-based) waits
-    /// `base << (n-1)` plus jitter.
+    /// Backoff before the first retry; each further retry doubles it.
     pub backoff_base_ns: u64,
     /// Upper bound on any single backoff, jitter included.
     pub backoff_cap_ns: u64,
-    /// Per-request deadline; a request older than this fails with a
-    /// timeout instead of spending its remaining retries (`None` =
-    /// no deadline).
+    /// Per-request deadline (`None` = no deadline). A request older
+    /// than this completes with a timeout error.
     pub deadline_ns: Option<u64>,
 }
 
-impl Default for WallPolicy {
+impl Default for RetryPolicy {
     fn default() -> Self {
-        WallPolicy {
+        RetryPolicy {
             max_retries: 3,
-            backoff_base_ns: 2_000_000,  // 2 ms
+            backoff_base_ns: 1_000_000,  // 1 ms
             backoff_cap_ns: 200_000_000, // 200 ms
             deadline_ns: None,
         }
     }
 }
 
-impl WallPolicy {
-    /// Backoff before retry `attempt` (1-based): exponential with up
-    /// to +50% deterministic jitter, capped. Pure in
-    /// `(seed, req, attempt)`.
-    pub fn backoff_ns(&self, seed: u64, req: u64, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(1).min(20);
-        let exp = self.backoff_base_ns.saturating_mul(1u64 << shift);
+impl RetryPolicy {
+    /// Jitter-free backoff before retry `retry` (0-based): `base <<
+    /// retry`, clamped at the cap (and the shift at 20, so it cannot
+    /// overflow).
+    pub fn backoff_ns(&self, retry: u32) -> u64 {
+        self.backoff_base_ns
+            .saturating_mul(1u64 << retry.min(20))
+            .min(self.backoff_cap_ns)
+    }
+
+    /// Backoff before retry `attempt` (1-based) with up to +50 %
+    /// deterministic jitter, capped. Pure in `(seed, req, attempt)`.
+    fn jittered_ns(&self, seed: u64, req: u64, attempt: u32) -> u64 {
+        let exp = self.backoff_ns(attempt.saturating_sub(1));
         let jitter = hash_u01(seed, attempt as u16, req, JITTER_SALT);
         let jittered = exp.saturating_add((exp as f64 * 0.5 * jitter) as u64);
         jittered.min(self.backoff_cap_ns)
@@ -283,10 +287,10 @@ impl WallPolicy {
         self.deadline_ns.is_some_and(|d| elapsed_ns >= d)
     }
 
-    /// The backoff to wait before retry `attempt` (1-based), or `None`
-    /// when recovery should stop: retries exhausted, the deadline
-    /// already passed, or waiting out the backoff would cross the
-    /// deadline (the deadline preempts remaining retries).
+    /// The jittered backoff to wait before retry `attempt` (1-based),
+    /// or `None` when recovery should stop: retries exhausted, the
+    /// deadline already passed, or waiting out the backoff would cross
+    /// the deadline (the deadline preempts remaining retries).
     pub fn next_backoff_ns(
         &self,
         seed: u64,
@@ -297,7 +301,7 @@ impl WallPolicy {
         if attempt > self.max_retries || self.expired(elapsed_ns) {
             return None;
         }
-        let backoff = self.backoff_ns(seed, req, attempt);
+        let backoff = self.jittered_ns(seed, req, attempt);
         match self.deadline_ns {
             Some(d) if elapsed_ns.saturating_add(backoff) >= d => None,
             _ => Some(backoff),
@@ -541,43 +545,56 @@ mod tests {
 
     #[test]
     fn wall_backoff_is_deterministic_in_the_seed() {
-        let p = WallPolicy::default();
+        let p = RetryPolicy::default();
         for attempt in 1..=5 {
             for req in [0u64, 7, 1 << 40] {
                 assert_eq!(
-                    p.backoff_ns(42, req, attempt),
-                    p.backoff_ns(42, req, attempt)
+                    p.jittered_ns(42, req, attempt),
+                    p.jittered_ns(42, req, attempt)
                 );
             }
         }
         // A different seed jitters differently somewhere in the grid.
-        assert!((1..=5).any(|a| p.backoff_ns(1, 9, a) != p.backoff_ns(2, 9, a)));
+        assert!((1..=5).any(|a| p.jittered_ns(1, 9, a) != p.jittered_ns(2, 9, a)));
         // Jitter stays within [exp, 1.5*exp] before the cap.
         let exp = p.backoff_base_ns;
-        let b = p.backoff_ns(3, 3, 1);
+        let b = p.jittered_ns(3, 3, 1);
         assert!(b >= exp && b <= exp + exp / 2, "b = {b}");
     }
 
     #[test]
     fn wall_backoff_grows_and_respects_the_cap() {
-        let p = WallPolicy {
+        let p = RetryPolicy {
             max_retries: 40,
             backoff_base_ns: 1_000,
             backoff_cap_ns: 50_000,
             deadline_ns: None,
         };
-        let series: Vec<u64> = (1..=12).map(|a| p.backoff_ns(5, 0, a)).collect();
+        let series: Vec<u64> = (1..=12).map(|a| p.jittered_ns(5, 0, a)).collect();
         // Exponential until the cap, then pinned at the cap.
         assert!(series.windows(2).all(|w| w[1] >= w[0]));
         assert_eq!(*series.last().unwrap(), 50_000);
         assert!(series[0] < 2_000);
         // Huge attempt numbers cannot overflow the shift.
-        assert_eq!(p.backoff_ns(5, 0, 1_000_000), 50_000);
+        assert_eq!(p.jittered_ns(5, 0, 1_000_000), 50_000);
+    }
+
+    #[test]
+    fn jitter_free_backoff_doubles_from_the_base_then_clamps_at_the_cap() {
+        let p = RetryPolicy::default();
+        // The simulator's schedule: retry n waits 1 ms << n.
+        for retry in 0..=7 {
+            assert_eq!(p.backoff_ns(retry), 1_000_000 << retry, "retry {retry}");
+        }
+        // 1 ms << 8 = 256 ms passes the 200 ms cap.
+        for retry in [8, 9, 20, 21, u32::MAX] {
+            assert_eq!(p.backoff_ns(retry), p.backoff_cap_ns, "retry {retry}");
+        }
     }
 
     #[test]
     fn wall_deadline_preempts_remaining_retries() {
-        let p = WallPolicy {
+        let p = RetryPolicy {
             max_retries: 10,
             backoff_base_ns: 1_000_000,
             backoff_cap_ns: 100_000_000,
@@ -592,7 +609,7 @@ mod tests {
         assert!(p.next_backoff_ns(1, 0, 3, 4_500_000).is_none());
         assert!(!p.expired(4_500_000));
         // Retries exhausted ends recovery too.
-        let q = WallPolicy {
+        let q = RetryPolicy {
             max_retries: 2,
             deadline_ns: None,
             ..p

@@ -83,7 +83,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use forhdc_fault::WallPolicy;
+use forhdc_fault::RetryPolicy;
 use forhdc_metrics::{histogram_delta, Scrape};
 use forhdc_serve::image::{block_payload, rank_to_file, DiskMeta};
 use forhdc_serve::protocol::{
@@ -254,8 +254,8 @@ fn run() -> Result<(), String> {
 
 /// Builds the client-side retry policy from the shared flag set.
 /// `--retries 0` (the default) keeps every failure a final outcome.
-fn retry_policy(args: &Args) -> Result<WallPolicy, String> {
-    Ok(WallPolicy {
+fn retry_policy(args: &Args) -> Result<RetryPolicy, String> {
+    Ok(RetryPolicy {
         max_retries: args.flag("retries", 0u32)?,
         backoff_base_ns: args.flag("backoff-ms", 25u64)?.saturating_mul(1_000_000),
         backoff_cap_ns: args
@@ -502,7 +502,7 @@ fn run_level(
     requests: u64,
     seed: u64,
     verify: bool,
-    policy: WallPolicy,
+    policy: RetryPolicy,
 ) -> Result<LevelResult, String> {
     let started = Instant::now();
     let mut workers = Vec::new();
@@ -660,7 +660,7 @@ fn conn_loop(
     rng_seed: u64,
     n: u64,
     verify: bool,
-    policy: WallPolicy,
+    policy: RetryPolicy,
 ) -> Result<(PowerHistogram, u64, Outcomes), String> {
     let mut conn = open_conn(addr).ok();
     let mut rng = StdRng::seed_from_u64(rng_seed);

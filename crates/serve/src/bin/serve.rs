@@ -46,7 +46,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use forhdc_core::ReadAheadKind;
-use forhdc_fault::{parse_offline_spec, FaultConfig, WallPolicy};
+use forhdc_fault::{parse_offline_spec, FaultConfig, RetryPolicy};
 use forhdc_serve::engine::LiveOpts;
 use forhdc_serve::image::{create_images, open_dir, DiskMeta};
 use forhdc_serve::server::{run as run_server, termination_flag, ServerOpts};
@@ -237,7 +237,7 @@ fn serve(args: &Args) -> Result<(), String> {
         Some(spec) => Some(parse_faults(spec)?),
         None => None,
     };
-    let recovery = WallPolicy {
+    let recovery = RetryPolicy {
         max_retries: args.flag("retries", 3u32)?,
         backoff_base_ns: args.flag("backoff-ms", 2u64)?.saturating_mul(1_000_000),
         backoff_cap_ns: 200_000_000,

@@ -28,16 +28,17 @@ use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use forhdc_core::controller::ControllerDecision;
 use forhdc_core::{DiskController, ReadAheadKind};
-use forhdc_fault::{FaultConfig, WallPolicy};
+use forhdc_fault::{FaultConfig, RetryPolicy};
 use forhdc_layout::{build_disk_bitmaps, FileId, FileMap};
 use forhdc_metrics::Gauge;
-use forhdc_sim::{DiskConfig, DiskId, PhysBlock, ReadWrite, StripingMap};
+use forhdc_sim::mirror::{self, MirrorRouter, Route};
+use forhdc_sim::{DiskConfig, DiskId, PhysBlock, ReadSplit, ReadWrite, StripingMap};
 use forhdc_trace::{FaultKind, PowerHistogram, ProbeResult, Quantiles, TraceEvent};
 
 use crate::faults::LiveFaults;
@@ -48,6 +49,10 @@ use crate::protocol::MAX_READ_BLOCKS;
 /// Blocks per rebuild copy chunk: large enough to stream, small enough
 /// to pace smoothly.
 const REBUILD_CHUNK_BLOCKS: u32 = 256;
+
+/// The live read-split policy: a member's cache and queue are known
+/// only under its disk lock, so the lock-free cursor alone decides.
+const LIVE_READ_SPLIT: ReadSplit = ReadSplit::RoundRobin;
 
 /// Why a read request was refused.
 #[derive(Debug)]
@@ -84,7 +89,7 @@ impl std::fmt::Display for ReadError {
 }
 
 /// Operational knobs for the live serving path, all inert by default:
-/// no fault schedule, the default [`WallPolicy`] (which never faults a
+/// no fault schedule, the default [`RetryPolicy`] (which never faults a
 /// clean disk), no deadline, no queue bound.
 #[derive(Debug, Clone, Default)]
 pub struct LiveOpts {
@@ -92,7 +97,7 @@ pub struct LiveOpts {
     /// `None` serves fault-free.
     pub faults: Option<FaultConfig>,
     /// Retry/backoff/deadline policy for faulted media reads.
-    pub recovery: WallPolicy,
+    pub recovery: RetryPolicy,
     /// Per-disk queue-depth bound; a request arriving at a disk whose
     /// queue is this deep is shed with `Overload` (0 = unbounded).
     pub max_queue: u32,
@@ -260,12 +265,8 @@ pub struct Engine {
     metrics: Arc<ServeMetrics>,
     live: LiveFaults,
     max_queue: u32,
-    /// Per-virtual-disk mirrored read-split cursors: each pair's
-    /// extents alternate members independently (the live analogue of
-    /// the simulator's round-robin read-split policy; a single global
-    /// cursor would correlate with the file→disk striping parity and
-    /// starve one member).
-    rr: Vec<AtomicU64>,
+    /// Picks the member that serves each mirrored piece.
+    router: MirrorRouter,
     /// Per-disk rebuild-in-progress flags (idempotence gate).
     rebuilding: Vec<AtomicBool>,
     rebuild_mbps: u64,
@@ -328,7 +329,7 @@ impl Engine {
         for d in 0..meta.disks {
             // Bitmaps are per *virtual* disk; mirror members share
             // their pair's copy (the images are identical).
-            let vd = if meta.mirrored { d / 2 } else { d };
+            let vd = mirror::virtual_disk(d, meta.mirrored);
             let bitmap = bitmaps.as_ref().map(|bms| bms[vd as usize].clone());
             let path = DiskMeta::image_path(dir, d);
             // Mirrored images open writable so a rebuild stream can
@@ -347,9 +348,7 @@ impl Engine {
         let metrics = Arc::new(ServeMetrics::new(meta.disks));
         let live = LiveFaults::new(meta.disks, opts.faults, opts.recovery);
         let rebuilding = (0..meta.disks).map(|_| AtomicBool::new(false)).collect();
-        let rr = (0..meta.virtual_disks())
-            .map(|_| AtomicU64::new(0))
-            .collect();
+        let router = MirrorRouter::new(LIVE_READ_SPLIT, meta.virtual_disks());
         let engine = Engine {
             meta,
             map,
@@ -361,7 +360,7 @@ impl Engine {
             metrics,
             live,
             max_queue: opts.max_queue,
-            rr,
+            router,
             rebuilding,
             rebuild_mbps: opts.rebuild_mbps,
         };
@@ -415,11 +414,7 @@ impl Engine {
         // Striping names a virtual disk; a bad sector lives on one
         // physical member. Plant on the pair's primary — a read that
         // lands there fails over to the twin and repairs the decree.
-        let member = if self.meta.mirrored {
-            disk.index() * 2
-        } else {
-            disk.index()
-        };
+        let member = self.meta.members(disk.index()).start;
         self.live.plant(member, phys.index());
         Ok((member, phys.index()))
     }
@@ -428,15 +423,7 @@ impl Engine {
     /// wall-clock milliseconds from now (`ms = 0` clears the window
     /// and brings it back).
     pub fn set_offline_ms(&self, disk: u16, ms: u64) -> Result<(), ReadError> {
-        if disk >= self.meta.disks {
-            return Err(ReadError::Range(format!("disk {disk} outside the array")));
-        }
-        let until = if ms == 0 {
-            0
-        } else {
-            self.metrics.now_ns().saturating_add(ms * 1_000_000)
-        };
-        self.live.set_offline(disk, until);
+        self.live.set_offline(disk, self.admin_until(disk, ms)?);
         self.metrics.disk_offline[disk as usize].set((ms != 0) as i64);
         Ok(())
     }
@@ -445,16 +432,20 @@ impl Engine {
     /// milliseconds — operations wait the window out instead of
     /// failing (`ms = 0` clears).
     pub fn set_stall_ms(&self, disk: u16, ms: u64) -> Result<(), ReadError> {
+        self.live.set_stall(disk, self.admin_until(disk, ms)?);
+        Ok(())
+    }
+
+    /// The end of an admin window of `ms` milliseconds on `disk` from
+    /// now, in ns since start (0 when `ms = 0` clears the window).
+    fn admin_until(&self, disk: u16, ms: u64) -> Result<u64, ReadError> {
         if disk >= self.meta.disks {
             return Err(ReadError::Range(format!("disk {disk} outside the array")));
         }
-        let until = if ms == 0 {
-            0
-        } else {
-            self.metrics.now_ns().saturating_add(ms * 1_000_000)
-        };
-        self.live.set_stall(disk, until);
-        Ok(())
+        Ok(match ms {
+            0 => 0,
+            _ => self.metrics.now_ns().saturating_add(ms * 1_000_000),
+        })
     }
 
     /// Admin (`REBUILD`): reconstructs `disk`'s image from its mirror
@@ -503,7 +494,7 @@ impl Engine {
     fn rebuild_stream(&self, disk: u16) {
         let bs = self.meta.block_bytes;
         let total = self.meta.disk_blocks;
-        let src = (disk ^ 1) as usize;
+        let src = mirror::twin(disk) as usize;
         let dst = disk as usize;
         let m = &self.metrics;
         let mut buf = vec![0u8; REBUILD_CHUNK_BLOCKS as usize * bs as usize];
@@ -716,13 +707,17 @@ impl Engine {
     }
 
     /// Plans one striping-unit-aligned piece on one (virtual) disk.
-    /// Unmirrored arrays go straight to the physical member; mirrored
-    /// arrays split reads over the pair round-robin and fail a piece
-    /// over to the twin when the chosen member is offline or its media
-    /// is bad — the twin holds an identical image, so the client never
-    /// sees the member fault. A media failover also repairs the failed
-    /// member's admin-planted sectors from the mirror (the sector-remap
-    /// model); seeded schedule errors stay, by the purity law.
+    /// Unmirrored arrays go straight to the physical member. Mirrored
+    /// arrays route the piece with the [`MirrorRouter`], which skips a
+    /// member that is offline while its twin is up before any attempt.
+    /// If the policy's pick fails offline or on bad media, the piece
+    /// fails over to the twin — it holds an identical image, so the
+    /// client never sees the member fault. A media failover also
+    /// repairs the failed member's admin-planted sectors from the
+    /// mirror (the sector-remap model); seeded schedule errors stay, by
+    /// the purity law. `forhdc_failover_reads_total{disk}` counts,
+    /// under the member that could not serve, each piece its twin
+    /// served.
     fn plan_extent(
         &self,
         disk: DiskId,
@@ -734,21 +729,31 @@ impl Engine {
         if !self.meta.mirrored {
             return self.plan_member(disk, start, nblocks, req, t0);
         }
-        let tick = self.rr[disk.as_usize()].fetch_add(1, Ordering::Relaxed);
-        let first = disk.index() * 2 + (tick & 1) as u16;
-        let twin = first ^ 1;
-        match self.plan_member(DiskId::new(first), start, nblocks, req, t0) {
-            Err(e @ (ReadError::Offline(_) | ReadError::Media(_))) => {
-                self.metrics.disk_failover_reads_total[first as usize].inc();
+        let m = &self.metrics;
+        let now = m.now_ns();
+        let offline = |d: u16| {
+            let until = self.live.offline_until(d, now);
+            until
+                .inspect(|_| m.disk_offline[d as usize].set(1))
+                .is_some()
+        };
+        let route = self.router.pick(disk.index(), offline, |_| false, |_| 0);
+        let (first, twin) = (route.member(), mirror::twin(route.member()));
+        let planned = self.plan_member(DiskId::new(first), start, nblocks, req, t0);
+        let (seg, skipped) = match (route, planned) {
+            (Route::Failover(_), Ok(seg)) => (seg, twin),
+            (Route::Policy(_), Err(e @ (ReadError::Offline(_) | ReadError::Media(_)))) => {
                 let seg = self.plan_member(DiskId::new(twin), start, nblocks, req, t0)?;
                 if matches!(e, ReadError::Media(_)) {
                     self.live
                         .unplant_range(first, start.index()..start.index() + nblocks as u64);
                 }
-                Ok(seg)
+                (seg, first)
             }
-            r => r,
-        }
+            (_, r) => return r,
+        };
+        m.disk_failover_reads_total[skipped as usize].inc();
+        Ok(seg)
     }
 
     /// Plans one physically contiguous piece on one physical disk:
@@ -1100,8 +1105,8 @@ mod tests {
 
     /// A recovery policy fast enough for tests: sub-millisecond
     /// backoffs, two retries.
-    fn fast_policy(deadline_ns: Option<u64>) -> WallPolicy {
-        WallPolicy {
+    fn fast_policy(deadline_ns: Option<u64>) -> RetryPolicy {
+        RetryPolicy {
             max_retries: 2,
             backoff_base_ns: 200_000,
             backoff_cap_ns: 1_000_000,
@@ -1639,25 +1644,78 @@ mod tests {
     #[test]
     fn mirrored_offline_member_fails_over_invisibly() {
         let (dir, engine) = build_mirrored("failover", LiveOpts::default());
-        engine.set_offline_ms(1, 60_000).unwrap();
+        let m = engine.metrics();
+        // A one-block read is one piece. Fault-free, the first read of
+        // its pair lands on the primary, so the cursor's next pick is
+        // the twin; take the twin offline.
+        let mut plan = Plan::default();
+        engine.plan(0, 0, 1, &mut plan).unwrap();
+        let survivor = plan.segments()[0].disk;
+        let offline = mirror::twin(survivor);
+        engine.set_offline_ms(offline, 60_000).unwrap();
+        // The router skips the offline member before any attempt: the
+        // read counts one failover and records no offline fault.
         let mut out = Vec::new();
+        engine.read(0, 0, 1, &mut out).unwrap();
+        assert_eq!(m.disk_failover_reads_total[offline as usize].get(), 1);
+        let offline_faults = || {
+            m.flight
+                .events()
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e,
+                        TraceEvent::Fault {
+                            kind: FaultKind::Offline,
+                            ..
+                        }
+                    )
+                })
+                .count()
+        };
+        assert_eq!(offline_faults(), 0);
         for file in 0..64u32 {
             out.clear();
             engine.read(file, 0, 4, &mut out).unwrap();
             assert_eq!(out.len(), 4 * 4096);
             assert_eq!(&out[..4096], &block_payload(file, 0, 4096)[..]);
         }
-        let m = engine.metrics();
         assert!(
-            m.disk_failover_reads_total[1].get() > 0,
-            "round-robin must have routed reads at the offline member"
+            m.disk_failover_reads_total[offline as usize].get() > 1,
+            "reads on the degraded pair must fail over"
         );
         assert_eq!(m.errors_sum(), 0);
+        assert_eq!(offline_faults(), 0);
         // The survivor never failed over.
-        assert_eq!(m.disk_failover_reads_total[0].get(), 0);
-        engine.set_offline_ms(1, 0).unwrap();
+        assert_eq!(m.disk_failover_reads_total[survivor as usize].get(), 0);
+        engine.set_offline_ms(offline, 0).unwrap();
         out.clear();
         engine.read(0, 0, 4, &mut out).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn mirrored_read_with_both_members_offline_counts_no_failover() {
+        let (dir, engine) = build_mirrored("both_offline", LiveOpts::default());
+        engine.set_offline_ms(0, 60_000).unwrap();
+        engine.set_offline_ms(1, 60_000).unwrap();
+        // Find a one-block read whose piece lives on virtual disk 0.
+        let file = (0..64u32)
+            .find(|&f| {
+                let logical = engine.map.block_at(FileId::new(f), 0).unwrap();
+                engine.striping.locate(logical).0.index() == 0
+            })
+            .expect("some file starts on virtual disk 0");
+        let mut out = Vec::new();
+        let err = engine.read(file, 0, 1, &mut out).unwrap_err();
+        assert!(matches!(err, ReadError::Offline(_)), "{err}");
+        let failovers: u64 = engine
+            .metrics()
+            .disk_failover_reads_total
+            .iter()
+            .map(|c| c.get())
+            .sum();
+        assert_eq!(failovers, 0, "no member served the read");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1669,7 +1727,11 @@ mod tests {
         };
         let (dir, engine) = build_mirrored("repair", opts);
         let (member, phys) = engine.plant_bad_block(9, 1).unwrap();
-        assert_eq!(member % 2, 0, "plants land on the pair's primary");
+        assert_eq!(
+            member,
+            mirror::members(mirror::virtual_disk(member, true), true).start,
+            "plants land on the pair's primary"
+        );
         assert!(engine.live_faults().planted(member, phys));
         // Two reads visit both members of the pair (round-robin); the
         // one that lands on the planted member exhausts retries, fails

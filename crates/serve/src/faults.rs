@@ -18,13 +18,13 @@
 //!   one failure mode, deterministically).
 //!
 //! The recovery decisions (retry, back off, give up, time out) live in
-//! [`forhdc_fault::WallPolicy`]; this module only answers "is this
+//! [`forhdc_fault::RetryPolicy`]; this module only answers "is this
 //! operation faulted right now?".
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use forhdc_fault::{FaultConfig, FaultModel, SeededFaults, WallPolicy};
+use forhdc_fault::{FaultConfig, FaultModel, RetryPolicy, SeededFaults};
 
 /// Everything the engine consults on the media path. One per engine;
 /// inert (three relaxed loads, no locks) when nothing is configured
@@ -32,7 +32,7 @@ use forhdc_fault::{FaultConfig, FaultModel, SeededFaults, WallPolicy};
 #[derive(Debug)]
 pub struct LiveFaults {
     seeded: Option<SeededFaults>,
-    policy: WallPolicy,
+    policy: RetryPolicy,
     seed: u64,
     /// Planted `(disk, block)` bad sectors; consulted only while
     /// `has_planted` is set.
@@ -48,7 +48,7 @@ impl LiveFaults {
     /// Builds the state for a `disks`-disk array. `config` carries the
     /// seeded schedule (media rate + offline windows); `None` starts
     /// fault-free (admin frames can still plant faults later).
-    pub fn new(disks: u16, config: Option<FaultConfig>, policy: WallPolicy) -> LiveFaults {
+    pub fn new(disks: u16, config: Option<FaultConfig>, policy: RetryPolicy) -> LiveFaults {
         let seed = config.as_ref().map(|c| c.seed).unwrap_or(0);
         LiveFaults {
             seeded: config.map(SeededFaults::new),
@@ -62,7 +62,7 @@ impl LiveFaults {
     }
 
     /// The recovery policy the engine retries under.
-    pub fn policy(&self) -> &WallPolicy {
+    pub fn policy(&self) -> &RetryPolicy {
         &self.policy
     }
 
@@ -84,12 +84,7 @@ impl LiveFaults {
                 return true;
             }
         }
-        self.has_planted.load(Ordering::Relaxed)
-            && self
-                .planted
-                .lock()
-                .expect("planted lock poisoned")
-                .contains(&(disk, block))
+        self.planted(disk, block)
     }
 
     /// Whether `(disk, block)` was admin-planted specifically. Unlike
@@ -138,42 +133,40 @@ impl LiveFaults {
     /// If `disk` is offline at `now_ns` (scheduled window or admin
     /// frame), the instant it comes back.
     pub fn offline_until(&self, disk: u16, now_ns: u64) -> Option<u64> {
-        let admin = self
-            .admin_offline_ns
-            .get(disk as usize)
-            .map(|a| a.load(Ordering::Relaxed))
-            .filter(|&until| until > now_ns);
         let scheduled = self
             .seeded
             .as_ref()
             .and_then(|s| s.offline_until(disk, now_ns));
-        match (admin, scheduled) {
-            (Some(a), Some(s)) => Some(a.max(s)),
-            (a, s) => a.or(s),
-        }
+        open_until(&self.admin_offline_ns, disk, now_ns).max(scheduled)
     }
 
     /// Admin: takes `disk` offline until `until_ns` (0 clears).
     pub fn set_offline(&self, disk: u16, until_ns: u64) {
-        if let Some(a) = self.admin_offline_ns.get(disk as usize) {
-            a.store(until_ns, Ordering::Relaxed);
-        }
+        set_until(&self.admin_offline_ns, disk, until_ns);
     }
 
     /// If `disk`'s media path is stalled at `now_ns`, the instant the
     /// stall ends.
     pub fn stalled_until(&self, disk: u16, now_ns: u64) -> Option<u64> {
-        self.stall_ns
-            .get(disk as usize)
-            .map(|a| a.load(Ordering::Relaxed))
-            .filter(|&until| until > now_ns)
+        open_until(&self.stall_ns, disk, now_ns)
     }
 
     /// Admin: stalls `disk`'s media path until `until_ns` (0 clears).
     pub fn set_stall(&self, disk: u16, until_ns: u64) {
-        if let Some(a) = self.stall_ns.get(disk as usize) {
-            a.store(until_ns, Ordering::Relaxed);
-        }
+        set_until(&self.stall_ns, disk, until_ns);
+    }
+}
+
+/// The end of `disk`'s admin window if it is still open at `now_ns`.
+fn open_until(windows: &[AtomicU64], disk: u16, now_ns: u64) -> Option<u64> {
+    let until = windows.get(disk as usize)?.load(Ordering::Relaxed);
+    (until > now_ns).then_some(until)
+}
+
+/// Sets `disk`'s admin window to end at `until_ns` (0 = none).
+fn set_until(windows: &[AtomicU64], disk: u16, until_ns: u64) {
+    if let Some(w) = windows.get(disk as usize) {
+        w.store(until_ns, Ordering::Relaxed);
     }
 }
 
@@ -184,7 +177,7 @@ mod tests {
 
     #[test]
     fn inert_without_config() {
-        let f = LiveFaults::new(2, None, WallPolicy::default());
+        let f = LiveFaults::new(2, None, RetryPolicy::default());
         assert!(!f.media_armed());
         assert!(!f.media_error(0, 0));
         assert_eq!(f.offline_until(0, 0), None);
@@ -193,7 +186,7 @@ mod tests {
 
     #[test]
     fn planting_arms_and_persists() {
-        let f = LiveFaults::new(2, None, WallPolicy::default());
+        let f = LiveFaults::new(2, None, RetryPolicy::default());
         f.plant(1, 77);
         f.plant(1, 77); // idempotent
         assert!(f.media_armed());
@@ -204,7 +197,7 @@ mod tests {
 
     #[test]
     fn unplanting_repairs_only_the_range_on_the_disk() {
-        let f = LiveFaults::new(2, None, WallPolicy::default());
+        let f = LiveFaults::new(2, None, RetryPolicy::default());
         f.plant(0, 5);
         f.plant(0, 9);
         f.plant(1, 5);
@@ -221,7 +214,7 @@ mod tests {
     #[test]
     fn seeded_blocks_match_the_pure_function() {
         let cfg = FaultConfig::new(13).with_media_rates(0.05, 0.0);
-        let f = LiveFaults::new(1, Some(cfg.clone()), WallPolicy::default());
+        let f = LiveFaults::new(1, Some(cfg.clone()), RetryPolicy::default());
         let oracle = SeededFaults::new(cfg);
         assert!(f.media_armed());
         assert!((0..2000).all(|b| f.media_error(0, b) == oracle.media_error(0, b, false)));
@@ -234,7 +227,7 @@ mod tests {
             start_ns: 100,
             end_ns: 200,
         });
-        let f = LiveFaults::new(2, Some(cfg), WallPolicy::default());
+        let f = LiveFaults::new(2, Some(cfg), RetryPolicy::default());
         assert_eq!(f.offline_until(0, 150), Some(200));
         assert_eq!(f.offline_until(0, 250), None);
         f.set_offline(0, 500);
@@ -248,7 +241,7 @@ mod tests {
 
     #[test]
     fn stalls_expire() {
-        let f = LiveFaults::new(1, None, WallPolicy::default());
+        let f = LiveFaults::new(1, None, RetryPolicy::default());
         f.set_stall(0, 1000);
         assert_eq!(f.stalled_until(0, 999), Some(1000));
         assert_eq!(f.stalled_until(0, 1000), None);

@@ -20,7 +20,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use forhdc_layout::{FileMap, LayoutBuilder};
-use forhdc_sim::{LogicalBlock, StripingMap};
+use forhdc_sim::{mirror, LogicalBlock, StripingMap};
 
 /// Blocks of zero padding appended past each disk's last allocated
 /// block, so a read-ahead run launched from the final file block never
@@ -165,21 +165,13 @@ impl DiskMeta {
 
     /// Virtual disks the striping addresses: mirrored pairs count once.
     pub fn virtual_disks(&self) -> u16 {
-        if self.mirrored {
-            self.disks / 2
-        } else {
-            self.disks
-        }
+        mirror::virtual_disks(self.disks, self.mirrored)
     }
 
     /// The physical members backing virtual disk `vd` (one, or the
     /// mirror pair).
     pub fn members(&self, vd: u16) -> std::ops::Range<u16> {
-        if self.mirrored {
-            2 * vd..2 * vd + 2
-        } else {
-            vd..vd + 1
-        }
+        mirror::members(vd, self.mirrored)
     }
 
     /// The striping map over the manifest's array (virtual disks).
@@ -253,7 +245,7 @@ pub fn create_images(dir: &Path, meta: &DiskMeta) -> Result<DiskMeta, String> {
     for d in 0..meta.disks {
         // Under mirroring both members of a pair carry the same
         // virtual disk's blocks, so their images come out identical.
-        let vd = if meta.mirrored { d / 2 } else { d };
+        let vd = mirror::virtual_disk(d, meta.mirrored);
         let path = DiskMeta::image_path(dir, d);
         let file = File::create(&path).map_err(|e| format!("create {}: {e}", path.display()))?;
         let mut w = BufWriter::new(file);
@@ -384,8 +376,11 @@ mod tests {
         let meta = create_images(&dir, &m).unwrap();
         assert_eq!(open_dir(&dir).unwrap(), meta);
         for vd in 0..meta.virtual_disks() {
-            let a = std::fs::read(DiskMeta::image_path(&dir, 2 * vd)).unwrap();
-            let b = std::fs::read(DiskMeta::image_path(&dir, 2 * vd + 1)).unwrap();
+            let pair: Vec<Vec<u8>> = meta
+                .members(vd)
+                .map(|m| std::fs::read(DiskMeta::image_path(&dir, m)).unwrap())
+                .collect();
+            let (a, b) = (&pair[0], &pair[1]);
             assert_eq!(a, b, "pair {vd} differs");
             assert!(a.iter().any(|&x| x != 0), "pair {vd} all zero");
         }
@@ -453,7 +448,7 @@ mod tests {
             let meta = create_images(&dir, &meta).unwrap();
             let (map, striping) = (meta.layout(), meta.striping());
             for d in 0..meta.disks {
-                let vd = if meta.mirrored { d / 2 } else { d };
+                let vd = mirror::virtual_disk(d, meta.mirrored);
                 let mut want = Vec::new();
                 for p in 0..meta.disk_blocks {
                     let logical = striping

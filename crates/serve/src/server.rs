@@ -924,7 +924,7 @@ mod tests {
     fn fault_frames_inject_and_err_frames_carry_codes() {
         use crate::protocol::{parse_error, ST_ERR};
         let live = crate::engine::LiveOpts {
-            recovery: forhdc_fault::WallPolicy {
+            recovery: forhdc_fault::RetryPolicy {
                 max_retries: 2,
                 backoff_base_ns: 200_000,
                 backoff_cap_ns: 1_000_000,
@@ -1343,7 +1343,8 @@ mod tests {
         engine.plan(3, 0, 8, &mut plan).unwrap();
         let disks: Vec<u16> = plan.segments().iter().map(|s| s.disk).collect();
         assert_eq!(disks.len(), 2, "{:?}", plan.segments());
-        assert_ne!(disks[0] / 2, disks[1] / 2);
+        let vd = |d| forhdc_sim::mirror::virtual_disk(d, true);
+        assert_ne!(vd(disks[0]), vd(disks[1]));
         let (mut c, server) = one_conn(Arc::new(Shared::new(engine, 0)));
         let read = |file, nblocks| Request::Read {
             file,

@@ -1,8 +1,8 @@
 //! End-to-end: a real `serve` process on an ephemeral loopback port,
-//! driven by real `loadgen` runs. Covers the CI smoke contract: the
-//! sweep table carries every percentile column, a fixed seed yields an
-//! identical schedule digest, and the server drains to a clean exit
-//! with a complete JSON report after `--shutdown`.
+//! driven by real `loadgen` runs. These tests hold the live server's
+//! smoke contract: verified sweeps under FOR and under blind read-ahead
+//! with an HDC region, the metrics exposition and flight dump, admission
+//! shedding, and the chaos harness on plain and mirrored arrays.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -65,12 +65,85 @@ fn digest_of(stdout: &str) -> &str {
         .unwrap_or_else(|| panic!("no digest line in: {stdout}"))
 }
 
+/// Every integer value of `"key": N` in a JSON text, in order.
+fn json_values(json: &str, key: &str) -> Vec<u64> {
+    json.split(&format!("\"{key}\": "))
+        .skip(1)
+        .map(|s| {
+            let digits = s.split([',', '}', ' ', '\n']).next().unwrap();
+            digits
+                .parse()
+                .unwrap_or_else(|e| panic!("{key}: {digits:?}: {e}"))
+        })
+        .collect()
+}
+
+/// The integer right after the first `prefix` in `text`, e.g.
+/// `number_after(out, "rebuilt ")`.
+fn number_after(text: &str, prefix: &str) -> u64 {
+    let rest = text
+        .split_once(prefix)
+        .unwrap_or_else(|| panic!("no {prefix:?} in: {text}"))
+        .1;
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits
+        .parse()
+        .unwrap_or_else(|e| panic!("{prefix:?} {digits:?}: {e}"))
+}
+
+/// Asserts the chaos harness's conservation line: `issued` requests
+/// over all phases, each ending in exactly one outcome.
+fn assert_balanced(stdout: &str, issued: u64) {
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("chaos: conservation "))
+        .unwrap_or_else(|| panic!("no conservation line: {stdout}"));
+    assert_eq!(number_after(line, "issued="), issued, "{line}");
+    assert!(line.ends_with("balanced=true"), "{line}");
+}
+
+/// Runs `cmd` to completion and returns its output; the test fails if
+/// it runs past `limit` (a hang is a failure, not a stuck suite). The
+/// commands given here print a few lines, well under a pipe's buffer.
+fn output_within(cmd: &mut Command, limit: Duration) -> std::process::Output {
+    let mut child = cmd
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let t0 = Instant::now();
+    while child.try_wait().expect("wait").is_none() {
+        if t0.elapsed() > limit {
+            let _ = child.kill();
+            panic!("{cmd:?} still running after {limit:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect output")
+}
+
+/// Runs `serve mkdisk` into `dir` with the given flags.
+fn mkdisk(dir: &PathBuf, flags: &[&str]) {
+    let out = serve_bin()
+        .arg("mkdisk")
+        .args(flags)
+        .arg("--dir")
+        .arg(dir)
+        .output()
+        .expect("spawn mkdisk");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 #[test]
 fn smoke_sweep_verify_and_drain() {
     let dir = tmpdir("smoke");
-    let out = serve_bin()
-        .args([
-            "mkdisk",
+    mkdisk(
+        &dir,
+        &[
             "--disks",
             "2",
             "--files",
@@ -79,15 +152,7 @@ fn smoke_sweep_verify_and_drain() {
             "4",
             "--seed",
             "5",
-            "--dir",
-        ])
-        .arg(&dir)
-        .output()
-        .expect("spawn mkdisk");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+        ],
     );
 
     let (mut server, addr) = start_server(&dir, &["--policy", "for", "--hdc", "256"]);
@@ -169,9 +234,9 @@ fn smoke_sweep_verify_and_drain() {
 #[test]
 fn metrics_scrape_conserves_work_and_flight_dump_parses() {
     let dir = tmpdir("metrics");
-    let out = serve_bin()
-        .args([
-            "mkdisk",
+    mkdisk(
+        &dir,
+        &[
             "--disks",
             "2",
             "--files",
@@ -180,15 +245,7 @@ fn metrics_scrape_conserves_work_and_flight_dump_parses() {
             "2",
             "--seed",
             "9",
-            "--dir",
-        ])
-        .arg(&dir)
-        .output()
-        .expect("spawn mkdisk");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+        ],
     );
 
     let mport_file = dir.join("mport");
@@ -381,6 +438,18 @@ fn metrics_scrape_conserves_work_and_flight_dump_parses() {
             .any(|e| matches!(e, forhdc_trace::TraceEvent::Complete { .. })),
         "no Complete events in flight dump"
     );
+    // The `trace` binary's analyses accept it: the per-phase
+    // percentile table, the utilization timeline (empty: the live
+    // server runs no sampler) and the slowest-request spans.
+    let summary = forhdc_trace::TraceSummary::from_events(&events);
+    assert!(summary.requests > 0, "no requests in the flight summary");
+    assert!(
+        !summary.phase_percentiles().is_empty(),
+        "no phase percentiles"
+    );
+    assert!(forhdc_trace::utilization_timeline(&events, 24).is_empty());
+    let slowest = forhdc_trace::slowest_requests(&events, 3);
+    assert_eq!(slowest.len(), 3, "want the 3 slowest request spans");
 
     // The loadgen JSON embeds per-level and merged server-side
     // quantiles.
@@ -408,38 +477,22 @@ fn metrics_scrape_conserves_work_and_flight_dump_parses() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Blind segment read-ahead plus an HDC region: hits on read-ahead and
+/// pinned blocks are served straight from the images, `--verify`
+/// checks every byte of them, the sweep conserves every request, and
+/// the report counts both kinds of hit.
 #[test]
 fn stats_over_the_wire_match_report_shape() {
     let dir = tmpdir("stats");
-    let out = serve_bin()
-        .args([
-            "mkdisk",
-            "--disks",
-            "2",
-            "--files",
-            "16",
-            "--file-blocks",
-            "2",
-            "--dir",
-        ])
-        .arg(&dir)
-        .output()
-        .expect("spawn mkdisk");
-    assert!(out.status.success());
-    let (mut server, addr) = start_server(&dir, &["--policy", "segm"]);
+    mkdisk(
+        &dir,
+        &["--disks", "2", "--files", "64", "--file-blocks", "4"],
+    );
+    let (mut server, addr) = start_server(&dir, &["--policy", "segm", "--hdc", "256"]);
 
-    // A short burst, then shut down.
     let out = loadgen_bin()
-        .args([
-            "--addr",
-            &addr,
-            "--levels",
-            "2",
-            "--requests",
-            "40",
-            "--verify",
-            "--shutdown",
-        ])
+        .args(["--addr", &addr, "--levels", "2,8", "--requests", "400"])
+        .args(["--verify", "--shutdown"])
         .output()
         .expect("spawn loadgen");
     assert!(
@@ -449,12 +502,23 @@ fn stats_over_the_wire_match_report_shape() {
     );
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("schedule digest: 0x"), "{stdout}");
+    assert!(
+        stdout.contains("conservation: issued=800 ok=800 errors=0 balanced=true"),
+        "{stdout}"
+    );
 
     let status = server.wait().expect("wait serve");
     assert!(status.success(), "server exited {status}");
     let report = std::fs::read_to_string(dir.join("report.json")).expect("report written");
     assert!(report.contains("\"policy\": \"Segm\""), "{report}");
     assert!(report.contains("\"requests\": "), "{report}");
+    assert!(report.contains("\"errors\": 0,"), "{report}");
+    for key in ["read_ahead_blocks", "hdc_read_hits"] {
+        assert!(
+            json_values(&report, key).iter().any(|&n| n > 0),
+            "no {key} in: {report}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -470,21 +534,10 @@ fn planted_bad_block_errs_after_exact_retries() {
     use std::io::Write;
 
     let dir = tmpdir("plant");
-    let out = serve_bin()
-        .args([
-            "mkdisk",
-            "--disks",
-            "2",
-            "--files",
-            "16",
-            "--file-blocks",
-            "2",
-            "--dir",
-        ])
-        .arg(&dir)
-        .output()
-        .expect("spawn mkdisk");
-    assert!(out.status.success());
+    mkdisk(
+        &dir,
+        &["--disks", "2", "--files", "16", "--file-blocks", "2"],
+    );
     let (mut server, addr) = start_server(&dir, &["--retries", "2", "--backoff-ms", "1"]);
 
     let stream = std::net::TcpStream::connect(&addr).expect("connect");
@@ -540,21 +593,10 @@ fn planted_bad_block_errs_after_exact_retries() {
 #[test]
 fn sigterm_drains_dumps_flight_and_exits_clean() {
     let dir = tmpdir("sigterm");
-    let out = serve_bin()
-        .args([
-            "mkdisk",
-            "--disks",
-            "2",
-            "--files",
-            "16",
-            "--file-blocks",
-            "2",
-            "--dir",
-        ])
-        .arg(&dir)
-        .output()
-        .expect("spawn mkdisk");
-    assert!(out.status.success());
+    mkdisk(
+        &dir,
+        &["--disks", "2", "--files", "16", "--file-blocks", "2"],
+    );
 
     // start_server nulls stderr; spawn by hand to capture it.
     let port_file = dir.join("port");
@@ -637,30 +679,19 @@ fn sigterm_drains_dumps_flight_and_exits_clean() {
 #[test]
 fn max_inflight_one_sheds_overload_and_never_hangs() {
     let dir = tmpdir("shed");
-    let out = serve_bin()
-        .args([
-            "mkdisk",
-            "--disks",
-            "2",
-            "--files",
-            "32",
-            "--file-blocks",
-            "2",
-            "--dir",
-        ])
-        .arg(&dir)
-        .output()
-        .expect("spawn mkdisk");
-    assert!(out.status.success());
+    mkdisk(
+        &dir,
+        &["--disks", "2", "--files", "32", "--file-blocks", "2"],
+    );
     let (mut server, addr) = start_server(&dir, &["--max-inflight", "1"]);
 
     let json_path = dir.join("shed.json");
-    let out = loadgen_bin()
+    let mut loadgen = loadgen_bin();
+    loadgen
         .args(["--addr", &addr, "--levels", "32", "--requests", "640"])
         .args(["--retries", "0", "--shutdown", "--json"])
-        .arg(&json_path)
-        .output()
-        .expect("spawn loadgen");
+        .arg(&json_path);
+    let out = output_within(&mut loadgen, Duration::from_secs(120));
     assert!(
         out.status.success(),
         "loadgen failed: {}",
@@ -670,30 +701,14 @@ fn max_inflight_one_sheds_overload_and_never_hangs() {
     assert!(stdout.contains("balanced=true"), "{stdout}");
 
     let json = std::fs::read_to_string(&json_path).unwrap();
-    let overload: u64 = json
-        .split("\"overload\": ")
-        .skip(1)
-        .map(|s| {
-            s.split([',', '}'])
-                .next()
-                .unwrap()
-                .trim()
-                .parse::<u64>()
-                .unwrap()
-        })
-        .sum();
+    let overload: u64 = json_values(&json, "overload").iter().sum();
     assert!(overload > 0, "no request shed with Overload: {json}");
 
     let status = server.wait().expect("wait serve");
     assert!(status.success(), "server exited {status}");
     // The server counted its sheds too.
     let report = std::fs::read_to_string(dir.join("report.json")).unwrap();
-    let shed: u64 = report
-        .split("\"shed\": ")
-        .nth(1)
-        .and_then(|s| s.split([',', '}']).next())
-        .and_then(|s| s.trim().parse().ok())
-        .expect("shed total in report");
+    let shed = json_values(&report, "shed")[0];
     assert_eq!(shed, overload, "server shed != client overload: {report}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -703,24 +718,14 @@ fn max_inflight_one_sheds_overload_and_never_hangs() {
 #[test]
 fn chaos_harness_passes_end_to_end() {
     let dir = tmpdir("chaos");
-    let out = serve_bin()
-        .args([
-            "mkdisk",
-            "--disks",
-            "4",
-            "--files",
-            "64",
-            "--file-blocks",
-            "4",
-            "--dir",
-        ])
-        .arg(&dir)
-        .output()
-        .expect("spawn mkdisk");
-    assert!(out.status.success());
+    mkdisk(
+        &dir,
+        &["--disks", "4", "--files", "64", "--file-blocks", "4"],
+    );
 
     let json_path = dir.join("chaos.json");
-    let out = loadgen_bin()
+    let mut chaos = loadgen_bin();
+    chaos
         .arg("chaos")
         .args(["--serve-bin", env!("CARGO_BIN_EXE_serve")])
         .args(["--requests", "300", "--conc", "8", "--max-inflight", "4"])
@@ -729,12 +734,14 @@ fn chaos_harness_passes_end_to_end() {
         // planted block, so a tight throughput floor is pure timing
         // noise; conservation and the probe assertions carry the test.
         .args(["--tolerance", "0.02"])
+        // Seeded media errors plus a scheduled offline window on the
+        // live read path, under the probes.
+        .args(["--faults", "seed=7,media=0.001,offline=0@200+150"])
         .args(["--json"])
         .arg(&json_path)
         .args(["--dir"])
-        .arg(&dir)
-        .output()
-        .expect("spawn loadgen chaos");
+        .arg(&dir);
+    let out = output_within(&mut chaos, Duration::from_secs(300));
     assert!(
         out.status.success(),
         "chaos failed:\nstdout: {}\nstderr: {}",
@@ -750,6 +757,16 @@ fn chaos_harness_passes_end_to_end() {
         "chaos: PASS",
     ] {
         assert!(stdout.contains(marker), "missing {marker}: {stdout}");
+    }
+    assert_balanced(&stdout, 3 * 300);
+    // Every probed code reached the restarted server's counters.
+    let counters = stdout
+        .lines()
+        .find(|l| l.contains("metrics errors_total{"))
+        .unwrap_or_else(|| panic!("no errors_total line: {stdout}"));
+    for code in ["media", "offline", "timeout", "overload"] {
+        let n = number_after(counters, &format!("{code}="));
+        assert!(n > 0, "errors_total{{{code}}} is zero: {counters}");
     }
     let json = std::fs::read_to_string(&json_path).unwrap();
     for key in [
@@ -773,9 +790,9 @@ fn chaos_harness_passes_end_to_end() {
 #[test]
 fn mirrored_chaos_fails_over_and_rebuilds_end_to_end() {
     let dir = tmpdir("mchaos");
-    let out = serve_bin()
-        .args([
-            "mkdisk",
+    mkdisk(
+        &dir,
+        &[
             "--disks",
             "4",
             "--files",
@@ -784,15 +801,12 @@ fn mirrored_chaos_fails_over_and_rebuilds_end_to_end() {
             "4",
             "--mirror",
             "1",
-            "--dir",
-        ])
-        .arg(&dir)
-        .output()
-        .expect("spawn mkdisk");
-    assert!(out.status.success());
+        ],
+    );
 
     let json_path = dir.join("chaos.json");
-    let out = loadgen_bin()
+    let mut chaos = loadgen_bin();
+    chaos
         .arg("chaos")
         .args(["--serve-bin", env!("CARGO_BIN_EXE_serve")])
         .args(["--requests", "300", "--conc", "8", "--max-inflight", "4"])
@@ -800,9 +814,8 @@ fn mirrored_chaos_fails_over_and_rebuilds_end_to_end() {
         .args(["--json"])
         .arg(&json_path)
         .args(["--dir"])
-        .arg(&dir)
-        .output()
-        .expect("spawn loadgen chaos");
+        .arg(&dir);
+    let out = output_within(&mut chaos, Duration::from_secs(300));
     assert!(
         out.status.success(),
         "mirrored chaos failed:\nstdout: {}\nstderr: {}",
@@ -818,7 +831,17 @@ fn mirrored_chaos_fails_over_and_rebuilds_end_to_end() {
     ] {
         assert!(stdout.contains(marker), "missing {marker}: {stdout}");
     }
+    assert_balanced(&stdout, 4 * 300);
+    // The degraded phase failed over, and the rebuild copied blocks.
+    assert!(number_after(&stdout, "offline invisibly (") > 0, "{stdout}");
+    assert!(
+        number_after(&stdout, "failovers), rebuilt ") > 0,
+        "{stdout}"
+    );
     let json = std::fs::read_to_string(&json_path).unwrap();
+    for key in ["failover_reads", "rebuilt_blocks"] {
+        assert!(json_values(&json, key)[0] > 0, "{key} is zero in {json}");
+    }
     for key in [
         "\"mirror\": {\"failover_reads\": ",
         "\"rebuilt_blocks\": ",

@@ -40,19 +40,20 @@ pub enum SchedulerKind {
 /// the closest copy", §2.2): a member that already caches the extent
 /// wins, else the less-loaded one. The alternatives are the classic
 /// read-splitting policies of the mirrored-array literature (Thomasian),
-/// swept by `fig-mirror`. Only consulted when `ArrayConfig::mirrored`
-/// is set.
+/// swept by `fig-mirror` and applied by [`crate::MirrorRouter`]. Only
+/// consulted when `ArrayConfig::mirrored` is set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReadSplit {
-    /// Cache-affinity first, then least-loaded (the original policy).
+    /// A member whose cache covers the extent, the primary first; else
+    /// the twin if its queue is shorter; else the primary.
     #[default]
     ClosestCopy,
-    /// Strict alternation per virtual disk, ignoring load.
+    /// The primary first, then strict alternation per virtual disk.
     RoundRobin,
     /// The member with the shorter queue (ties go to the primary).
     ShortestQueue,
-    /// All reads to the even member; the replica only absorbs writes
-    /// (and failovers).
+    /// All reads to the primary; the twin only absorbs writes (and
+    /// failovers).
     PrimaryOnly,
 }
 
@@ -243,10 +244,8 @@ impl ArrayConfig {
                 self.disks.is_multiple_of(2) && self.disks >= 2,
                 "mirroring needs disk pairs"
             );
-            self.disks / 2
-        } else {
-            self.disks
         }
+        crate::mirror::virtual_disks(self.disks, self.mirrored)
     }
 
     /// Total controller cache across the array, in blocks.

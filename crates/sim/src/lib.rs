@@ -30,6 +30,8 @@
 //!   ([`StripingMap`]).
 //! * [`config`] — Table 1 of the paper as typed defaults
 //!   ([`DiskConfig`], [`ArrayConfig`]).
+//! * [`mirror`] — RAID1/0 pairing and the read router both planes
+//!   share ([`MirrorRouter`]).
 //!
 //! # Example
 //!
@@ -53,6 +55,7 @@ pub mod config;
 pub mod engine;
 pub mod geometry;
 pub mod mechanics;
+pub mod mirror;
 pub mod request;
 pub mod rotation;
 pub mod sched;
@@ -68,6 +71,7 @@ pub use config::{ArrayConfig, DiskConfig, ReadSplit, SchedulerKind};
 pub use engine::EventQueue;
 pub use geometry::{BlockAddress, DiskGeometry};
 pub use mechanics::{DiskMechanics, ServiceTiming};
+pub use mirror::MirrorRouter;
 pub use request::{DiskId, LogicalBlock, PhysBlock, ReadWrite, RequestId, StreamId};
 pub use rotation::RotationModel;
 pub use seek::SeekModel;
