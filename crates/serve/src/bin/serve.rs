@@ -39,7 +39,6 @@
 //!       dump to stderr before the thread dies.
 //! ```
 
-use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -51,46 +50,7 @@ use forhdc_serve::engine::LiveOpts;
 use forhdc_serve::image::{create_images, open_dir, DiskMeta};
 use forhdc_serve::server::{run as run_server, termination_flag, ServerOpts};
 use forhdc_serve::Engine;
-use forhdc_trace::{out, outln};
-
-struct Args {
-    positional: Vec<String>,
-    flags: HashMap<String, String>,
-}
-
-impl Args {
-    fn parse() -> Result<Args, String> {
-        let mut positional = Vec::new();
-        let mut flags = HashMap::new();
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-                flags.insert(name.to_string(), value);
-            } else {
-                positional.push(a);
-            }
-        }
-        Ok(Args { positional, flags })
-    }
-
-    fn flag<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        match self.flags.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|e| format!("--{name}: {e}")),
-        }
-    }
-
-    fn required(&self, name: &str) -> Result<&str, String> {
-        self.flags
-            .get(name)
-            .map(String::as_str)
-            .ok_or_else(|| format!("--{name} is required"))
-    }
-}
+use forhdc_trace::{out, outln, Args};
 
 const USAGE: &str = "\
 serve — live TCP front-end for the FOR/HDC disk-array stack
@@ -119,8 +79,8 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::parse()?;
-    match args.positional.first().map(String::as_str) {
+    let args = Args::from_env(&[])?;
+    match args.positional().first().map(String::as_str) {
         Some("mkdisk") => mkdisk(&args),
         Some("run") => serve(&args),
         Some("help") | None => {
@@ -144,6 +104,7 @@ fn mkdisk(args: &Args) -> Result<(), String> {
         disk_blocks: 0,
         mirrored: args.flag("mirror", 0u32)? != 0,
     };
+    args.finish()?;
     let meta = create_images(&dir, &meta)?;
     outln!(
         "wrote {} images of {} blocks ({} files x {} blocks{}) under {}",
@@ -222,10 +183,8 @@ fn install_signal_handlers() {
 
 fn serve(args: &Args) -> Result<(), String> {
     let dir = PathBuf::from(args.required("dir")?);
-    let meta = open_dir(&dir)?;
     let policy = parse_policy(&args.flag("policy", String::from("for"))?)?;
     let hdc_kb: u64 = args.flag("hdc", 0u64)?;
-    let hdc_blocks = (hdc_kb * 1024 / meta.block_bytes as u64) as u32;
     let port: u16 = args.flag("port", 0u16)?;
     let opts = ServerOpts {
         accept_threads: args.flag("threads", 2usize)?.max(1),
@@ -233,7 +192,7 @@ fn serve(args: &Args) -> Result<(), String> {
         stats_secs: args.flag("stats-secs", 0u64)?,
         max_inflight: args.flag("max-inflight", 0usize)?,
     };
-    let faults = match args.flags.get("faults") {
+    let faults = match args.get("faults") {
         Some(spec) => Some(parse_faults(spec)?),
         None => None,
     };
@@ -252,6 +211,13 @@ fn serve(args: &Args) -> Result<(), String> {
         max_queue: args.flag("max-queue", 0u32)?,
         rebuild_mbps: args.flag("rebuild-mbps", 0u64)?,
     };
+    let port_file = args.get("port-file");
+    let metrics_addr = args.get("metrics-addr");
+    let metrics_port_file = args.get("metrics-port-file");
+    let report_path = args.get("report");
+    args.finish()?;
+    let meta = open_dir(&dir)?;
+    let hdc_blocks = (hdc_kb * 1024 / meta.block_bytes as u64) as u32;
     let engine = Engine::open_with(&dir, meta, policy, hdc_blocks, live)?;
     install_panic_hook(&engine);
     install_signal_handlers();
@@ -260,15 +226,15 @@ fn serve(args: &Args) -> Result<(), String> {
     let bound = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
-    if let Some(path) = args.flags.get("port-file") {
+    if let Some(path) = port_file {
         let mut f = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
         writeln!(f, "{}", bound.port()).map_err(|e| format!("write {path}: {e}"))?;
     }
-    let metrics_listener = match args.flags.get("metrics-addr") {
+    let metrics_listener = match metrics_addr {
         Some(addr) => {
-            let l = TcpListener::bind(addr.as_str()).map_err(|e| format!("bind {addr}: {e}"))?;
+            let l = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
             let maddr = l.local_addr().map_err(|e| format!("local_addr: {e}"))?;
-            if let Some(path) = args.flags.get("metrics-port-file") {
+            if let Some(path) = metrics_port_file {
                 let mut f =
                     std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
                 writeln!(f, "{}", maddr.port()).map_err(|e| format!("write {path}: {e}"))?;
@@ -285,7 +251,7 @@ fn serve(args: &Args) -> Result<(), String> {
         dir.display()
     );
     let report = run_server(engine, listener, metrics_listener, &opts)?;
-    if let Some(path) = args.flags.get("report") {
+    if let Some(path) = report_path {
         std::fs::write(path, &report).map_err(|e| format!("write {path}: {e}"))?;
     }
     out!("{report}");

@@ -25,10 +25,14 @@
 //! - [`report`] — hand-rolled JSON reporting shared by the final
 //!   report, `OP_STATS`, and the periodic stderr lines.
 //!
-//! The `loadgen` binary is the closed-loop client: a deterministic,
-//! seeded Zipf request schedule swept across concurrency levels,
-//! reporting RPS and latency percentiles per level.
+//! - [`client`] — the closed-loop client: a deterministic, seeded Zipf
+//!   request schedule over N connections with per-outcome accounting,
+//!   swept across concurrency levels by the `loadgen` binary.
+//! - [`chaos`] — the fault-tolerance harness: a child `serve` killed,
+//!   restarted and probed under that client, returning a typed report.
 
+pub mod chaos;
+pub mod client;
 pub mod engine;
 pub mod faults;
 pub mod image;

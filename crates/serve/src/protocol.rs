@@ -36,7 +36,7 @@
 //! `FAULT` is the chaos-engineering admin frame (`sub` selects the
 //! action): take a disk offline for a wall-clock window, plant a
 //! persistent bad block under a `(file, offset)`, or stall a disk's
-//! media path. It exists so a harness (`loadgen chaos`) can inject
+//! media path. It exists so a harness ([`crate::chaos`]) can inject
 //! component failure into a *running* server deterministically.
 
 use std::io::{self, Read, Write};

@@ -56,6 +56,8 @@ fn assert_usage_error(out: std::process::Output, needle: &str, ctx: &str) {
 
 #[test]
 fn serve_bad_arguments_exit_2() {
+    let dir = tmpdir("unknown_flag");
+    let dir = dir.to_str().unwrap();
     for (args, needle) in [
         (vec!["frobnicate"], "unknown command"),
         (vec!["run"], "--dir is required"),
@@ -65,10 +67,20 @@ fn serve_bad_arguments_exit_2() {
             vec!["mkdisk", "--dir", "/tmp/x", "--disks", "zero"],
             "--disks",
         ),
+        // A misspelled flag fails before anything is written or served.
+        (
+            vec!["mkdisk", "--dir", dir, "--files", "4", "--hcd", "256"],
+            "unknown argument '--hcd'",
+        ),
+        (
+            vec!["run", "--dir", dir, "--hcd", "256"],
+            "unknown argument '--hcd'",
+        ),
     ] {
         let out = serve().args(&args).output().expect("spawn serve");
         assert_usage_error(out, needle, &format!("{args:?}"));
     }
+    assert!(!std::path::Path::new(dir).exists(), "mkdisk wrote {dir}");
 }
 
 #[test]
@@ -175,14 +187,15 @@ fn loadgen_bad_arguments_exit_2() {
         (vec!["--addr"], "--addr needs a value"),
         (vec!["positional"], "unexpected argument"),
         (vec!["chaos", "extra"], "unexpected argument"),
-        (vec!["chaos"], "--dir is required"),
+        (vec!["chaos"], "unexpected argument 'chaos'"),
+        // Flags the sweep does not read, checked before connecting.
         (
-            vec!["chaos", "--dir", "/tmp/x", "--tolerance", "1.5"],
-            "--tolerance",
+            vec!["--addr", "127.0.0.1:1", "--tolerance", "0.5"],
+            "unknown argument '--tolerance'",
         ),
         (
-            vec!["chaos", "--dir", "/tmp/x", "--conc", "0"],
-            "--conc must be >= 1",
+            vec!["--addr", "127.0.0.1:1", "--level", "2"],
+            "unknown argument '--level'",
         ),
         (
             vec!["--addr", "127.0.0.1:1", "--retries", "some"],

@@ -1,17 +1,27 @@
 //! End-to-end: a real `serve` process on an ephemeral loopback port,
-//! driven by real `loadgen` runs. These tests hold the live server's
-//! smoke contract: verified sweeps under FOR and under blind read-ahead
-//! with an HDC region, the metrics exposition and flight dump, admission
-//! shedding, and the chaos harness on plain and mirrored arrays.
+//! driven by real `loadgen` runs or by the client library in-process.
+//! These tests hold the live server's smoke contract: verified sweeps
+//! under FOR and under blind read-ahead with an HDC region, the metrics
+//! exposition and flight dump, admission shedding, the client's error
+//! classification, and the chaos harness on plain and mirrored arrays.
 
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::net::TcpListener;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+use forhdc_core::ReadAheadKind;
+use forhdc_fault::RetryPolicy;
 use forhdc_metrics::{http::http_get, Scrape};
+use forhdc_serve::chaos::{self, Answer, ChaosConfig, ChildServer};
+use forhdc_serve::client::{fetch_frame, run_level, Target, EO_OFFLINE, EO_RESET};
+use forhdc_serve::protocol::{ErrorCode, Request};
+use forhdc_serve::{create_images, DiskMeta, Engine, LiveOpts, ServerOpts};
+
+const SERVE: &str = env!("CARGO_BIN_EXE_serve");
 
 fn serve_bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_serve"))
+    Command::new(SERVE)
 }
 
 fn loadgen_bin() -> Command {
@@ -24,38 +34,12 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
-/// Starts a server on port 0 and waits for the port file.
-fn start_server(dir: &PathBuf, extra: &[&str]) -> (Child, String) {
-    let port_file = dir.join("port");
-    let report = dir.join("report.json");
-    let child = serve_bin()
-        .args(["run", "--port", "0"])
-        .args(["--port-file"])
-        .arg(&port_file)
-        .args(["--report"])
-        .arg(&report)
-        .args(extra)
-        .args(["--dir"])
-        .arg(dir)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn serve");
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let port = loop {
-        if let Ok(s) = std::fs::read_to_string(&port_file) {
-            let s = s.trim().to_string();
-            if !s.is_empty() {
-                break s;
-            }
-        }
-        assert!(
-            Instant::now() < deadline,
-            "server never wrote its port file"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    (child, format!("127.0.0.1:{port}"))
+/// Starts `serve run` with `extra` flags on an ephemeral port; returns
+/// the child and its address.
+fn start_server(dir: &Path, extra: &[&str]) -> (ChildServer, String) {
+    let server = ChildServer::spawn(Path::new(SERVE), dir, 0, extra).expect("start serve");
+    let addr = server.addr.clone();
+    (server, addr)
 }
 
 fn digest_of(stdout: &str) -> &str {
@@ -76,30 +60,6 @@ fn json_values(json: &str, key: &str) -> Vec<u64> {
                 .unwrap_or_else(|e| panic!("{key}: {digits:?}: {e}"))
         })
         .collect()
-}
-
-/// The integer right after the first `prefix` in `text`, e.g.
-/// `number_after(out, "rebuilt ")`.
-fn number_after(text: &str, prefix: &str) -> u64 {
-    let rest = text
-        .split_once(prefix)
-        .unwrap_or_else(|| panic!("no {prefix:?} in: {text}"))
-        .1;
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits
-        .parse()
-        .unwrap_or_else(|e| panic!("{prefix:?} {digits:?}: {e}"))
-}
-
-/// Asserts the chaos harness's conservation line: `issued` requests
-/// over all phases, each ending in exactly one outcome.
-fn assert_balanced(stdout: &str, issued: u64) {
-    let line = stdout
-        .lines()
-        .find(|l| l.starts_with("chaos: conservation "))
-        .unwrap_or_else(|| panic!("no conservation line: {stdout}"));
-    assert_eq!(number_after(line, "issued="), issued, "{line}");
-    assert!(line.ends_with("balanced=true"), "{line}");
 }
 
 /// Runs `cmd` to completion and returns its output; the test fails if
@@ -598,35 +558,9 @@ fn sigterm_drains_dumps_flight_and_exits_clean() {
         &["--disks", "2", "--files", "16", "--file-blocks", "2"],
     );
 
-    // start_server nulls stderr; spawn by hand to capture it.
-    let port_file = dir.join("port");
+    // The child appends its stderr to serve.log in the image dir.
+    let (mut server, addr) = start_server(&dir, &[]);
     let report = dir.join("report.json");
-    let stderr_file = std::fs::File::create(dir.join("stderr.log")).unwrap();
-    let mut server = serve_bin()
-        .args(["run", "--port", "0", "--port-file"])
-        .arg(&port_file)
-        .args(["--report"])
-        .arg(&report)
-        .args(["--dir"])
-        .arg(&dir)
-        .stdout(Stdio::null())
-        .stderr(stderr_file)
-        .spawn()
-        .expect("spawn serve");
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let port = loop {
-        if let Ok(s) = std::fs::read_to_string(&port_file) {
-            if !s.trim().is_empty() {
-                break s.trim().to_string();
-            }
-        }
-        assert!(
-            Instant::now() < deadline,
-            "server never wrote its port file"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    let addr = format!("127.0.0.1:{port}");
 
     // Some traffic so the flight recorder has lifecycles to dump.
     let out = loadgen_bin()
@@ -636,14 +570,14 @@ fn sigterm_drains_dumps_flight_and_exits_clean() {
     assert!(out.status.success());
 
     let kill = Command::new("kill")
-        .args(["-TERM", &server.id().to_string()])
+        .args(["-TERM", &server.id().unwrap().to_string()])
         .status()
         .expect("spawn kill");
     assert!(kill.success());
     let status = server.wait().expect("wait serve");
     assert!(status.success(), "server exited {status} on SIGTERM");
 
-    let stderr = std::fs::read_to_string(dir.join("stderr.log")).unwrap();
+    let stderr = std::fs::read_to_string(dir.join("serve.log")).unwrap();
     assert!(
         stderr.contains("serve: termination signal received, draining"),
         "{stderr}"
@@ -713,8 +647,124 @@ fn max_inflight_one_sheds_overload_and_never_hangs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The client's outcome buckets against an in-process server: a disk
+/// offline for about 100 ms is ridden out by retries, and without
+/// retries the same failures land in the offline bucket.
+#[test]
+fn client_retries_through_offline_and_buckets_it_without_retries() {
+    let dir = tmpdir("classify");
+    let meta = create_images(
+        &dir,
+        &DiskMeta {
+            block_bytes: 4096,
+            disks: 2,
+            unit_blocks: 32,
+            files: 32,
+            file_blocks: 2,
+            seed: 42,
+            fragmentation: 0.0,
+            disk_blocks: 0,
+            mirrored: false,
+        },
+    )
+    .expect("mkdisk");
+    let engine = Engine::open_with(&dir, meta, ReadAheadKind::For, 0, LiveOpts::default())
+        .expect("open engine");
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || {
+        forhdc_serve::run(engine, listener, None, &ServerOpts::default())
+    });
+    let target = Target::open(&addr, 0.4).expect("meta");
+    let offline = |ms| {
+        fetch_frame(&addr, &Request::FaultOffline { disk: 0, ms }, "fault").expect("fault");
+    };
+    let retrying = RetryPolicy {
+        max_retries: 6,
+        backoff_base_ns: 25_000_000,
+        backoff_cap_ns: 400_000_000,
+        deadline_ns: None,
+    };
+
+    // Disk 0 goes down, the burst starts, and the disk returns after
+    // about 100 ms: far inside the ~1.2 s the retries can wait.
+    offline(60_000);
+    let burst = {
+        let target = target.clone();
+        std::thread::spawn(move || run_level(&target, 4, 200, 1, true, retrying))
+    };
+    std::thread::sleep(Duration::from_millis(100));
+    offline(0);
+    let ridden = burst.join().unwrap().expect("burst");
+    assert_eq!(ridden.outcomes.issued(), 200, "{ridden:?}");
+    assert_eq!(ridden.outcomes.ok, 200, "{ridden:?}");
+    assert!(ridden.outcomes.retries > 0, "{ridden:?}");
+
+    // Without retries, every read of disk 0 fails offline, and nothing
+    // else fails.
+    offline(60_000);
+    let no_retry = RetryPolicy {
+        max_retries: 0,
+        ..retrying
+    };
+    let failed = run_level(&target, 4, 200, 2, true, no_retry).expect("burst");
+    offline(0);
+    let o = failed.outcomes;
+    assert_eq!(o.issued(), 200, "{o:?}");
+    assert!(o.errs[EO_OFFLINE] > 0 && o.ok > 0, "{o:?}");
+    assert_eq!(o.errors(), o.errs[EO_OFFLINE], "{o:?}");
+    assert_eq!(o.retries, 0, "{o:?}");
+
+    fetch_frame(&addr, &Request::Shutdown, "shutdown").expect("shutdown");
+    server.join().unwrap().expect("server report");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs the chaos harness on `dir` with the `--faults` schedule and
+/// checks what both arrays share; a run past 300 s fails (a hang is a
+/// failure, not a stuck suite).
+fn run_chaos(dir: &Path, faults: Option<&str>) -> chaos::ChaosReport {
+    let cfg = ChaosConfig {
+        dir: dir.to_path_buf(),
+        serve_bin: PathBuf::from(SERVE),
+        faults: faults.map(str::to_string),
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(chaos::chaos(&cfg)).ok());
+    let report = rx
+        .recv_timeout(Duration::from_secs(300))
+        .expect("chaos still running after 300 s")
+        .unwrap_or_else(|e| {
+            let log = std::fs::read_to_string(dir.join("serve.log")).unwrap_or_default();
+            panic!("chaos failed: {e}\nserve.log:\n{log}")
+        });
+    // Conservation: the phases issued their whole budgets, each
+    // request ending in exactly one outcome.
+    let phases = 3 + u64::from(report.degraded.is_some());
+    assert_eq!(report.conservation.issued(), phases * chaos::REQUESTS);
+    // Phase B spanned the SIGKILL: its in-flight reads were reset and
+    // retried against the restarted server.
+    let killed = &report.killed.outcomes;
+    assert!(killed.errs[EO_RESET] + killed.retries > 0, "{killed:?}");
+    assert!(report.recovered.outcomes.ok > 0, "{report:?}");
+    assert!(report.shutdown.success(), "{report:?}");
+    // The offline, timeout and overload probes answer their ERR code,
+    // and the restarted server counted each.
+    for code in [
+        ErrorCode::DiskOffline,
+        ErrorCode::Timeout,
+        ErrorCode::Overload,
+    ] {
+        assert_eq!(report.probes[code.index()], Answer::Err(code), "{report:?}");
+        assert!(report.errors_total[code.index()] > 0, "{code}: {report:?}");
+    }
+    report
+}
+
 /// The full chaos harness: kill -9 mid-sweep, same-port restart,
-/// per-code fault probes, recovery-throughput floor, conservation.
+/// per-code fault probes, recovery-throughput floor, conservation,
+/// under seeded media errors and a 200-ms offline window on disk 2 at
+/// the start of each server life, which phase A rides out by retrying.
 #[test]
 fn chaos_harness_passes_end_to_end() {
     let dir = tmpdir("chaos");
@@ -722,62 +772,24 @@ fn chaos_harness_passes_end_to_end() {
         &dir,
         &["--disks", "4", "--files", "64", "--file-blocks", "4"],
     );
-
-    let json_path = dir.join("chaos.json");
-    let mut chaos = loadgen_bin();
-    chaos
-        .arg("chaos")
-        .args(["--serve-bin", env!("CARGO_BIN_EXE_serve")])
-        .args(["--requests", "300", "--conc", "8", "--max-inflight", "4"])
-        // At 300 requests the baseline sweep lasts ~10 ms while phase C
-        // pays wall-clock retry backoff for the probe's persistent
-        // planted block, so a tight throughput floor is pure timing
-        // noise; conservation and the probe assertions carry the test.
-        .args(["--tolerance", "0.02"])
-        // Seeded media errors plus a scheduled offline window on the
-        // live read path, under the probes.
-        .args(["--faults", "seed=7,media=0.001,offline=0@200+150"])
-        .args(["--json"])
-        .arg(&json_path)
-        .args(["--dir"])
-        .arg(&dir);
-    let out = output_within(&mut chaos, Duration::from_secs(300));
-    assert!(
-        out.status.success(),
-        "chaos failed:\nstdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
+    let report = run_chaos(&dir, Some("seed=7,media=0.001,offline=2@0+200"));
+    let media = ErrorCode::MediaError;
+    assert_eq!(
+        report.probes[media.index()],
+        Answer::Err(media),
+        "{report:?}"
     );
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    for marker in [
-        "chaos: probe media",
-        "chaos: probe offline",
-        "chaos: probe timeout",
-        "chaos: probe overload",
-        "chaos: PASS",
-    ] {
-        assert!(stdout.contains(marker), "missing {marker}: {stdout}");
-    }
-    assert_balanced(&stdout, 3 * 300);
-    // Every probed code reached the restarted server's counters.
-    let counters = stdout
-        .lines()
-        .find(|l| l.contains("metrics errors_total{"))
-        .unwrap_or_else(|| panic!("no errors_total line: {stdout}"));
-    for code in ["media", "offline", "timeout", "overload"] {
-        let n = number_after(counters, &format!("{code}="));
-        assert!(n > 0, "errors_total{{{code}}} is zero: {counters}");
-    }
-    let json = std::fs::read_to_string(&json_path).unwrap();
-    for key in [
-        "\"rps_pre\"",
-        "\"rps_post\"",
-        "\"probes\": {\"media\": true, \"offline\": true, \"timeout\": true, \"overload\": true}",
-        "\"balanced\": true",
-        "\"pass\": true",
-    ] {
-        assert!(json.contains(key), "missing {key} in {json}");
-    }
+    assert!(report.errors_total[media.index()] > 0, "{report:?}");
+    // Phase A starts inside the scheduled window: reads of disk 2
+    // back off until it closes.
+    assert!(
+        report.baseline.outcomes.retries > 0,
+        "{:?}",
+        report.baseline
+    );
+    // The window is long closed by phase C.
+    let recovered = &report.recovered.outcomes;
+    assert_eq!(recovered.errs[EO_OFFLINE], 0, "{recovered:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -786,7 +798,7 @@ fn chaos_harness_passes_end_to_end() {
 /// offline is invisible to clients (the degraded burst sees zero
 /// DiskOffline errors and counts failovers), clearing the window
 /// rebuilds the member from its mirror, and the conservation budget
-/// widens to four phases and still balances.
+/// widens to four phases.
 #[test]
 fn mirrored_chaos_fails_over_and_rebuilds_end_to_end() {
     let dir = tmpdir("mchaos");
@@ -803,54 +815,15 @@ fn mirrored_chaos_fails_over_and_rebuilds_end_to_end() {
             "1",
         ],
     );
-
-    let json_path = dir.join("chaos.json");
-    let mut chaos = loadgen_bin();
-    chaos
-        .arg("chaos")
-        .args(["--serve-bin", env!("CARGO_BIN_EXE_serve")])
-        .args(["--requests", "300", "--conc", "8", "--max-inflight", "4"])
-        .args(["--tolerance", "0.02", "--rebuild-mbps", "64"])
-        .args(["--json"])
-        .arg(&json_path)
-        .args(["--dir"])
-        .arg(&dir);
-    let out = output_within(&mut chaos, Duration::from_secs(300));
-    assert!(
-        out.status.success(),
-        "mirrored chaos failed:\nstdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
+    let report = run_chaos(&dir, None);
+    assert_eq!(
+        report.probes[ErrorCode::MediaError.index()],
+        Answer::Ok,
+        "{report:?}"
     );
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    for marker in [
-        "chaos: probe media    -> OK (served from the mirror)",
-        "chaos: phase M (degraded)",
-        "chaos: probe mirror   -> replica 1 offline invisibly",
-        "chaos: PASS",
-    ] {
-        assert!(stdout.contains(marker), "missing {marker}: {stdout}");
-    }
-    assert_balanced(&stdout, 4 * 300);
-    // The degraded phase failed over, and the rebuild copied blocks.
-    assert!(number_after(&stdout, "offline invisibly (") > 0, "{stdout}");
-    assert!(
-        number_after(&stdout, "failovers), rebuilt ") > 0,
-        "{stdout}"
-    );
-    let json = std::fs::read_to_string(&json_path).unwrap();
-    for key in ["failover_reads", "rebuilt_blocks"] {
-        assert!(json_values(&json, key)[0] > 0, "{key} is zero in {json}");
-    }
-    for key in [
-        "\"mirror\": {\"failover_reads\": ",
-        "\"rebuilt_blocks\": ",
-        "\"rps_degraded\": ",
-        "\"issued\": 1200",
-        "\"balanced\": true",
-        "\"pass\": true",
-    ] {
-        assert!(json.contains(key), "missing {key} in {json}");
-    }
+    let degraded = report.degraded.as_ref().expect("phase M on a mirror");
+    assert_eq!(degraded.outcomes.errs[EO_OFFLINE], 0, "{degraded:?}");
+    assert!(report.failovers > 0, "{report:?}");
+    assert!(report.rebuilt_blocks > 0, "{report:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -23,7 +23,7 @@
 //! * [`mechanics`] — full positioning + media-transfer service times
 //!   ([`DiskMechanics`]).
 //! * [`sched`] — per-disk request queues: LOOK (the paper's default),
-//!   plus FCFS / SSTF / C-LOOK for ablations ([`sched::DiskScheduler`]).
+//!   plus FCFS / SSTF / C-LOOK for ablations ([`sched::Scheduler`]).
 //! * [`bus`] — the shared Ultra160 bus as a serializing resource
 //!   ([`BusModel`]).
 //! * [`mod@array`] — round-robin striping across the array

@@ -37,60 +37,30 @@ pub struct QueuedOp {
     pub attempt: u32,
 }
 
-/// A disk-queue scheduling discipline.
+/// A disk-queue scheduling discipline, statically dispatched.
 ///
-/// Implementations must eventually serve every pushed operation
-/// (no starvation under a finite arrival stream).
-pub trait DiskScheduler: std::fmt::Debug {
-    /// Adds an operation to the queue.
-    fn push(&mut self, op: QueuedOp);
-
-    /// Removes and returns the next operation to service, given the
-    /// head's current cylinder.
-    fn pop_next(&mut self, head_cylinder: u32) -> Option<QueuedOp>;
-
-    /// Number of queued operations.
-    fn len(&self) -> usize;
-
-    /// Whether the queue is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The discipline's kind tag.
-    fn kind(&self) -> SchedulerKind;
-}
-
-/// Creates a boxed scheduler of the requested kind.
+/// Every discipline eventually serves every pushed operation (no
+/// starvation under a finite arrival stream). The event loop pushes
+/// and pops a queue entry for every media operation; the inner enum's match
+/// compiles to a predictable branch on a discipline that never changes
+/// at runtime, and lets `push`/`pop_next` inline into the caller.
 ///
 /// # Example
 ///
 /// ```
 /// use forhdc_sim::config::SchedulerKind;
-/// use forhdc_sim::sched::make_scheduler;
+/// use forhdc_sim::sched::Scheduler;
 ///
-/// let s = make_scheduler(SchedulerKind::Look);
+/// let s = Scheduler::new(SchedulerKind::Look);
 /// assert!(s.is_empty());
 /// assert_eq!(s.kind(), SchedulerKind::Look);
 /// ```
-pub fn make_scheduler(kind: SchedulerKind) -> Box<dyn DiskScheduler> {
-    match kind {
-        SchedulerKind::Look => Box::new(LookScheduler::new()),
-        SchedulerKind::Fcfs => Box::new(FcfsScheduler::new()),
-        SchedulerKind::Sstf => Box::new(SstfScheduler::new()),
-        SchedulerKind::Clook => Box::new(ClookScheduler::new()),
-    }
-}
-
-/// Statically dispatched scheduler for the simulation hot path.
-///
-/// The event loop pushes and pops a queue entry for every media
-/// operation; behind a `Box<dyn DiskScheduler>` each of those is an
-/// indirect call the optimizer cannot see through. The enum's match
-/// compiles to a predictable branch on a discipline that never changes
-/// at runtime, and lets `push`/`pop_next` inline into the caller.
 #[derive(Debug)]
-pub enum Scheduler {
+pub struct Scheduler(Queue);
+
+/// The discipline behind a [`Scheduler`].
+#[derive(Debug)]
+enum Queue {
     /// LOOK (elevator) — the paper's discipline.
     Look(LookScheduler),
     /// First-come first-served.
@@ -104,44 +74,44 @@ pub enum Scheduler {
 impl Scheduler {
     /// Creates a scheduler of the requested kind.
     pub fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::Look => Scheduler::Look(LookScheduler::new()),
-            SchedulerKind::Fcfs => Scheduler::Fcfs(FcfsScheduler::new()),
-            SchedulerKind::Sstf => Scheduler::Sstf(SstfScheduler::new()),
-            SchedulerKind::Clook => Scheduler::Clook(ClookScheduler::new()),
-        }
+        Scheduler(match kind {
+            SchedulerKind::Look => Queue::Look(LookScheduler::new()),
+            SchedulerKind::Fcfs => Queue::Fcfs(FcfsScheduler::new()),
+            SchedulerKind::Sstf => Queue::Sstf(SstfScheduler::new()),
+            SchedulerKind::Clook => Queue::Clook(ClookScheduler::new()),
+        })
     }
 
     /// Adds an operation to the queue.
     #[inline]
     pub fn push(&mut self, op: QueuedOp) {
-        match self {
-            Scheduler::Look(s) => s.push(op),
-            Scheduler::Fcfs(s) => s.push(op),
-            Scheduler::Sstf(s) => s.push(op),
-            Scheduler::Clook(s) => s.push(op),
+        match &mut self.0 {
+            Queue::Look(s) => s.push(op),
+            Queue::Fcfs(s) => s.push(op),
+            Queue::Sstf(s) => s.push(op),
+            Queue::Clook(s) => s.push(op),
         }
     }
 
     /// Removes and returns the next operation to service.
     #[inline]
     pub fn pop_next(&mut self, head_cylinder: u32) -> Option<QueuedOp> {
-        match self {
-            Scheduler::Look(s) => s.pop_next(head_cylinder),
-            Scheduler::Fcfs(s) => s.pop_next(head_cylinder),
-            Scheduler::Sstf(s) => s.pop_next(head_cylinder),
-            Scheduler::Clook(s) => s.pop_next(head_cylinder),
+        match &mut self.0 {
+            Queue::Look(s) => s.pop_next(head_cylinder),
+            Queue::Fcfs(s) => s.pop_next(head_cylinder),
+            Queue::Sstf(s) => s.pop_next(head_cylinder),
+            Queue::Clook(s) => s.pop_next(head_cylinder),
         }
     }
 
     /// Number of queued operations.
     #[inline]
     pub fn len(&self) -> usize {
-        match self {
-            Scheduler::Look(s) => s.len(),
-            Scheduler::Fcfs(s) => s.len(),
-            Scheduler::Sstf(s) => s.len(),
-            Scheduler::Clook(s) => s.len(),
+        match &self.0 {
+            Queue::Look(s) => s.len(),
+            Queue::Fcfs(s) => s.len(),
+            Queue::Sstf(s) => s.len(),
+            Queue::Clook(s) => s.len(),
         }
     }
 
@@ -153,11 +123,11 @@ impl Scheduler {
 
     /// The discipline's kind tag.
     pub fn kind(&self) -> SchedulerKind {
-        match self {
-            Scheduler::Look(_) => SchedulerKind::Look,
-            Scheduler::Fcfs(_) => SchedulerKind::Fcfs,
-            Scheduler::Sstf(_) => SchedulerKind::Sstf,
-            Scheduler::Clook(_) => SchedulerKind::Clook,
+        match self.0 {
+            Queue::Look(_) => SchedulerKind::Look,
+            Queue::Fcfs(_) => SchedulerKind::Fcfs,
+            Queue::Sstf(_) => SchedulerKind::Sstf,
+            Queue::Clook(_) => SchedulerKind::Clook,
         }
     }
 }
@@ -173,7 +143,7 @@ impl Scheduler {
 /// queue depths of a hundred-plus streams is most of the memory
 /// traffic this structure used to generate.
 #[derive(Debug, Default)]
-pub struct LookScheduler {
+pub(crate) struct LookScheduler {
     /// `(cylinder, slot)` sorted by cylinder, same-cylinder ties in
     /// arrival order.
     index: Vec<(u32, u32)>,
@@ -184,7 +154,7 @@ pub struct LookScheduler {
 
 impl LookScheduler {
     /// Creates an empty LOOK queue sweeping upward.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LookScheduler {
             index: Vec::new(),
             slab: Vec::new(),
@@ -199,10 +169,9 @@ impl LookScheduler {
         self.free.push(slot);
         self.slab[slot as usize]
     }
-}
 
-impl DiskScheduler for LookScheduler {
-    fn push(&mut self, op: QueuedOp) {
+    /// Adds an operation to the queue.
+    pub(crate) fn push(&mut self, op: QueuedOp) {
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slab[s as usize] = op;
@@ -217,7 +186,9 @@ impl DiskScheduler for LookScheduler {
         self.index.insert(i, (op.cylinder, slot));
     }
 
-    fn pop_next(&mut self, head_cylinder: u32) -> Option<QueuedOp> {
+    /// Removes and returns the next operation to service, given the
+    /// head's current cylinder.
+    pub(crate) fn pop_next(&mut self, head_cylinder: u32) -> Option<QueuedOp> {
         if self.index.is_empty() {
             return None;
         }
@@ -243,68 +214,64 @@ impl DiskScheduler for LookScheduler {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Number of queued operations.
+    pub(crate) fn len(&self) -> usize {
         self.index.len()
-    }
-
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::Look
     }
 }
 
 /// First-come first-served scheduling.
 #[derive(Debug, Default)]
-pub struct FcfsScheduler {
+pub(crate) struct FcfsScheduler {
     queue: VecDeque<QueuedOp>,
 }
 
 impl FcfsScheduler {
     /// Creates an empty FCFS queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FcfsScheduler {
             queue: VecDeque::new(),
         }
     }
-}
 
-impl DiskScheduler for FcfsScheduler {
-    fn push(&mut self, op: QueuedOp) {
+    /// Adds an operation to the queue.
+    pub(crate) fn push(&mut self, op: QueuedOp) {
         self.queue.push_back(op);
     }
 
-    fn pop_next(&mut self, _head_cylinder: u32) -> Option<QueuedOp> {
+    /// Removes and returns the next operation to service, given the
+    /// head's current cylinder.
+    pub(crate) fn pop_next(&mut self, _head_cylinder: u32) -> Option<QueuedOp> {
         self.queue.pop_front()
     }
 
-    fn len(&self) -> usize {
+    /// Number of queued operations.
+    pub(crate) fn len(&self) -> usize {
         self.queue.len()
-    }
-
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::Fcfs
     }
 }
 
 /// Shortest-seek-time-first scheduling (greedy nearest cylinder; can
 /// starve under sustained load, which is why it is ablation-only).
 #[derive(Debug, Default)]
-pub struct SstfScheduler {
+pub(crate) struct SstfScheduler {
     queue: Vec<QueuedOp>,
 }
 
 impl SstfScheduler {
     /// Creates an empty SSTF queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SstfScheduler { queue: Vec::new() }
     }
-}
 
-impl DiskScheduler for SstfScheduler {
-    fn push(&mut self, op: QueuedOp) {
+    /// Adds an operation to the queue.
+    pub(crate) fn push(&mut self, op: QueuedOp) {
         self.queue.push(op);
     }
 
-    fn pop_next(&mut self, head_cylinder: u32) -> Option<QueuedOp> {
+    /// Removes and returns the next operation to service, given the
+    /// head's current cylinder.
+    pub(crate) fn pop_next(&mut self, head_cylinder: u32) -> Option<QueuedOp> {
         if self.queue.is_empty() {
             return None;
         }
@@ -317,36 +284,34 @@ impl DiskScheduler for SstfScheduler {
         Some(self.queue.swap_remove(idx))
     }
 
-    fn len(&self) -> usize {
+    /// Number of queued operations.
+    pub(crate) fn len(&self) -> usize {
         self.queue.len()
-    }
-
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::Sstf
     }
 }
 
 /// Circular LOOK: always sweep upward; when nothing remains ahead, jump
 /// back to the lowest queued cylinder.
 #[derive(Debug, Default)]
-pub struct ClookScheduler {
+pub(crate) struct ClookScheduler {
     queue: Vec<QueuedOp>, // sorted by cylinder, arrival order on ties
 }
 
 impl ClookScheduler {
     /// Creates an empty C-LOOK queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ClookScheduler { queue: Vec::new() }
     }
-}
 
-impl DiskScheduler for ClookScheduler {
-    fn push(&mut self, op: QueuedOp) {
+    /// Adds an operation to the queue.
+    pub(crate) fn push(&mut self, op: QueuedOp) {
         let i = self.queue.partition_point(|o| o.cylinder <= op.cylinder);
         self.queue.insert(i, op);
     }
 
-    fn pop_next(&mut self, head_cylinder: u32) -> Option<QueuedOp> {
+    /// Removes and returns the next operation to service, given the
+    /// head's current cylinder.
+    pub(crate) fn pop_next(&mut self, head_cylinder: u32) -> Option<QueuedOp> {
         if self.queue.is_empty() {
             return None;
         }
@@ -355,12 +320,9 @@ impl DiskScheduler for ClookScheduler {
         Some(self.queue.remove(i))
     }
 
-    fn len(&self) -> usize {
+    /// Number of queued operations.
+    pub(crate) fn len(&self) -> usize {
         self.queue.len()
-    }
-
-    fn kind(&self) -> SchedulerKind {
-        SchedulerKind::Clook
     }
 }
 
@@ -381,7 +343,7 @@ mod tests {
         }
     }
 
-    fn drain(s: &mut dyn DiskScheduler, mut head: u32) -> Vec<u32> {
+    fn drain(s: &mut Scheduler, mut head: u32) -> Vec<u32> {
         let mut order = Vec::new();
         while let Some(o) = s.pop_next(head) {
             order.push(o.cylinder);
@@ -392,7 +354,7 @@ mod tests {
 
     #[test]
     fn look_sweeps_up_then_down() {
-        let mut s = LookScheduler::new();
+        let mut s = Scheduler::new(SchedulerKind::Look);
         for &c in &[50, 10, 80, 30, 60] {
             s.push(op(c as u64, c));
         }
@@ -402,7 +364,7 @@ mod tests {
 
     #[test]
     fn look_reverses_twice_if_needed() {
-        let mut s = LookScheduler::new();
+        let mut s = Scheduler::new(SchedulerKind::Look);
         s.push(op(1, 10));
         assert_eq!(s.pop_next(40).unwrap().cylinder, 10); // nothing above 40
         s.push(op(2, 90));
@@ -412,7 +374,7 @@ mod tests {
 
     #[test]
     fn look_same_cylinder_is_fifo() {
-        let mut s = LookScheduler::new();
+        let mut s = Scheduler::new(SchedulerKind::Look);
         s.push(op(1, 5));
         s.push(op(2, 5));
         assert_eq!(s.pop_next(0).unwrap().token, 1);
@@ -421,7 +383,7 @@ mod tests {
 
     #[test]
     fn fcfs_preserves_arrival_order() {
-        let mut s = FcfsScheduler::new();
+        let mut s = Scheduler::new(SchedulerKind::Fcfs);
         for &c in &[50, 10, 80] {
             s.push(op(c as u64, c));
         }
@@ -430,7 +392,7 @@ mod tests {
 
     #[test]
     fn sstf_picks_nearest() {
-        let mut s = SstfScheduler::new();
+        let mut s = Scheduler::new(SchedulerKind::Sstf);
         for &c in &[50, 10, 80, 42] {
             s.push(op(c as u64, c));
         }
@@ -440,7 +402,7 @@ mod tests {
 
     #[test]
     fn clook_wraps_to_bottom() {
-        let mut s = ClookScheduler::new();
+        let mut s = Scheduler::new(SchedulerKind::Clook);
         for &c in &[50, 10, 80, 30] {
             s.push(op(c as u64, c));
         }
@@ -456,12 +418,12 @@ mod tests {
             SchedulerKind::Sstf,
             SchedulerKind::Clook,
         ] {
-            let mut s = make_scheduler(kind);
+            let mut s = Scheduler::new(kind);
             for i in 0..100u64 {
                 s.push(op(i, ((i * 37) % 500) as u32));
             }
             assert_eq!(s.len(), 100);
-            let served = drain(s.as_mut(), 250);
+            let served = drain(&mut s, 250);
             assert_eq!(served.len(), 100, "{kind:?} lost requests");
             assert!(s.is_empty());
         }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use forhdc_sim::sched::{make_scheduler, QueuedOp};
+use forhdc_sim::sched::{QueuedOp, Scheduler};
 use forhdc_sim::{
     DiskConfig, DiskGeometry, DiskMechanics, EventQueue, PhysBlock, ReadWrite, RotationModel,
     SchedulerKind, SeekModel, SimDuration, SimTime,
@@ -95,7 +95,7 @@ proptest! {
             SchedulerKind::Sstf,
             SchedulerKind::Clook,
         ][kind_idx];
-        let mut s = make_scheduler(kind);
+        let mut s = Scheduler::new(kind);
         for (i, &c) in cylinders.iter().enumerate() {
             s.push(QueuedOp {
                 token: i as u64,

@@ -37,11 +37,13 @@
 //! assert_eq!(mem.events.len(), 1);
 //! ```
 
+pub mod args;
 pub mod event;
 pub mod hist;
 pub mod stdout;
 pub mod summary;
 
+pub use args::Args;
 pub use event::{parse_jsonl, write_jsonl, FaultKind, ProbeResult, TraceEvent};
 pub use hist::{PowerHistogram, Quantiles};
 pub use summary::{

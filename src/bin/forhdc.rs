@@ -28,46 +28,7 @@ use forhdc::sim::{SchedulerKind, SimDuration};
 use forhdc::workload::io::{read_layout, read_trace, write_layout, write_trace};
 use forhdc::workload::stats::summarize;
 use forhdc::workload::{ServerWorkloadSpec, SyntheticWorkload, Workload};
-use forhdc_trace::{out, outln};
-
-struct Args {
-    positional: Vec<String>,
-    flags: std::collections::HashMap<String, String>,
-}
-
-impl Args {
-    fn parse() -> Result<Args, String> {
-        let mut positional = Vec::new();
-        let mut flags = std::collections::HashMap::new();
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-                flags.insert(name.to_string(), value);
-            } else {
-                positional.push(a);
-            }
-        }
-        Ok(Args { positional, flags })
-    }
-
-    fn flag<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        match self.flags.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|e| format!("--{name}: {e}")),
-        }
-    }
-
-    fn required(&self, name: &str) -> Result<&str, String> {
-        self.flags
-            .get(name)
-            .map(String::as_str)
-            .ok_or_else(|| format!("--{name} is required"))
-    }
-}
+use forhdc_trace::{out, outln, Args};
 
 fn main() -> ExitCode {
     match run() {
@@ -82,8 +43,8 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::parse()?;
-    match args.positional.first().map(String::as_str) {
+    let args = Args::from_env(&[])?;
+    match args.positional().first().map(String::as_str) {
         Some("generate") => generate(&args),
         Some("simulate") => simulate(&args),
         Some("inspect") => inspect(&args),
@@ -106,11 +67,19 @@ forhdc — FOR/HDC disk-array simulator
 
 fn generate(args: &Args) -> Result<(), String> {
     let kind = args
-        .positional
+        .positional()
         .get(1)
         .ok_or("generate needs a workload kind (web|proxy|file|synthetic)")?;
     let scale: f64 = args.flag("scale", 1.0)?;
     let out = PathBuf::from(args.flag("out", String::from("."))?);
+    // Only the synthetic kind reads `--requests`; `finish` rejects it
+    // on any other kind.
+    let requests: usize = if kind == "synthetic" {
+        args.flag("requests", 10_000)?
+    } else {
+        0
+    };
+    args.finish()?;
     let workload: Workload = match kind.as_str() {
         "web" => ServerWorkloadSpec::web().scale(scale).generate().workload,
         "proxy" => ServerWorkloadSpec::proxy().scale(scale).generate().workload,
@@ -120,10 +89,7 @@ fn generate(args: &Args) -> Result<(), String> {
                 .generate()
                 .workload
         }
-        "synthetic" => {
-            let requests: usize = args.flag("requests", 10_000)?;
-            SyntheticWorkload::builder().requests(requests).build()
-        }
+        "synthetic" => SyntheticWorkload::builder().requests(requests).build(),
         other => return Err(format!("unknown workload kind '{other}'")),
     };
     std::fs::create_dir_all(&out).map_err(|e| e.to_string())?;
@@ -150,14 +116,8 @@ fn generate(args: &Args) -> Result<(), String> {
 }
 
 fn simulate(args: &Args) -> Result<(), String> {
-    let trace = read_trace(BufReader::new(
-        File::open(args.required("trace")?).map_err(|e| e.to_string())?,
-    ))
-    .map_err(|e| e.to_string())?;
-    let layout = read_layout(BufReader::new(
-        File::open(args.required("layout")?).map_err(|e| e.to_string())?,
-    ))
-    .map_err(|e| e.to_string())?;
+    let trace_path = args.required("trace")?;
+    let layout_path = args.required("layout")?;
     let streams: u32 = args.flag("streams", 128)?;
     let mut cfg = match args.flag("policy", String::from("segm"))?.as_str() {
         "segm" => SystemConfig::segm(),
@@ -177,10 +137,19 @@ fn simulate(args: &Args) -> Result<(), String> {
         "clook" => cfg.with_scheduler(SchedulerKind::Clook),
         other => return Err(format!("unknown scheduler '{other}'")),
     };
-    if let Some(secs) = args.flags.get("flush-secs") {
+    if let Some(secs) = args.get("flush-secs") {
         let secs: u64 = secs.parse().map_err(|e| format!("--flush-secs: {e}"))?;
         cfg = cfg.with_hdc_flush_period(SimDuration::from_secs(secs));
     }
+    args.finish()?;
+    let trace = read_trace(BufReader::new(
+        File::open(trace_path).map_err(|e| e.to_string())?,
+    ))
+    .map_err(|e| e.to_string())?;
+    let layout = read_layout(BufReader::new(
+        File::open(layout_path).map_err(|e| e.to_string())?,
+    ))
+    .map_err(|e| e.to_string())?;
     let workload = Workload {
         name: "imported".into(),
         layout,
@@ -193,8 +162,10 @@ fn simulate(args: &Args) -> Result<(), String> {
 }
 
 fn inspect(args: &Args) -> Result<(), String> {
+    let trace_path = args.required("trace")?;
+    args.finish()?;
     let trace = read_trace(BufReader::new(
-        File::open(args.required("trace")?).map_err(|e| e.to_string())?,
+        File::open(trace_path).map_err(|e| e.to_string())?,
     ))
     .map_err(|e| e.to_string())?;
     outln!("{}", summarize(&trace, 4096));
