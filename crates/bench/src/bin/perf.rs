@@ -1,6 +1,7 @@
 //! The perf harness: a fixed set of hot-path microbenches (caches and
 //! the simulator's per-layer primitives), the file-server layout's
-//! set-up passes (ns per logical block), plus end-to-end `fig3`- and
+//! set-up passes (ns per logical block), server-clone generation (ns
+//! per disk request), HDC planning, plus end-to-end `fig3`- and
 //! `fig5`-point simulations, timed with plain wall clocks and emitted
 //! as machine-readable JSON (`BENCH_*.json`).
 //!
@@ -385,6 +386,26 @@ fn bench_layout(h: &mut Harness) {
     });
 }
 
+fn bench_generate(h: &mut Harness) {
+    // Generating the simulator benchmark's clones (Web clone at scale
+    // 4, file-server clone at scale 2): sizes, layout, popularity and
+    // the trace; per disk request generated.
+    let clones = [
+        (
+            "workload/generate_web",
+            ServerWorkloadSpec::web().scale(4.0),
+        ),
+        (
+            "workload/generate_file_server",
+            ServerWorkloadSpec::file_server().scale(2.0),
+        ),
+    ];
+    for (name, spec) in clones {
+        let requests = spec.generate().workload.trace.len() as u64;
+        bench_pass(h, name, "req", requests, || spec.generate());
+    }
+}
+
 fn bench_planner(h: &mut Harness) {
     // HDC planning as the simulator benchmark's clones run it (Web
     // clone at scale 4 on a 16-KByte unit, file-server clone at scale 2
@@ -589,6 +610,7 @@ fn main() -> ExitCode {
     bench_striping(&mut h);
     bench_calendar(&mut h);
     bench_layout(&mut h);
+    bench_generate(&mut h);
     bench_planner(&mut h);
     bench_e2e(&mut h);
     bench_e2e_fig5(&mut h);

@@ -430,8 +430,6 @@ pub struct System<T: Tracer = NullTracer, F: FaultModel = NoFaults, A: Auditor =
     next_req: u64,
     workload_name: String,
     payload_bytes: u64,
-    response_sum: SimDuration,
-    response_max: SimDuration,
     completed: u64,
     last_completion: SimTime,
     /// Host HDC commands to apply before the issue with the given
@@ -760,8 +758,6 @@ impl<'w, T: Tracer, F: FaultModel, A: Auditor> SystemBuilder<'w, T, F, A> {
             next_req: 0,
             workload_name: workload.name.clone(),
             payload_bytes,
-            response_sum: SimDuration::ZERO,
-            response_max: SimDuration::ZERO,
             completed: 0,
             last_completion: SimTime::ZERO,
             hdc_commands,
@@ -1671,8 +1667,6 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
         if p.failed {
             self.fstats.failed_requests += 1;
         }
-        self.response_sum += response;
-        self.response_max = self.response_max.max(response);
         self.latency.record(response);
         self.completed += 1;
         self.last_completion = self.last_completion.max(now);
@@ -1753,11 +1747,6 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
             hdc_dirty_unpins += d.ctl.hdc_dirty_unpins();
             still_dirty += d.ctl.hdc_dirty_count() as u64;
         }
-        let mean_response = if self.completed == 0 {
-            SimDuration::ZERO
-        } else {
-            self.response_sum / self.completed
-        };
         let report = Report {
             workload: self.workload_name,
             policy: self.cfg.read_ahead,
@@ -1771,8 +1760,8 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
             per_disk_busy,
             bus_busy: self.bus.busy_time(),
             bus_wait: self.bus.wait_time(),
-            mean_response,
-            max_response: self.response_max,
+            mean_response: self.latency.mean(),
+            max_response: self.latency.max(),
             latency: self.latency,
             coop_hits: self.coop_hits,
             bitmap_scans,

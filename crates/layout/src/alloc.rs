@@ -102,13 +102,31 @@ impl LayoutBuilder {
     /// returns the resulting map. Sizes of zero are allowed (empty
     /// files own no blocks).
     pub fn build(&self, file_sizes: &[u32]) -> FileMap {
+        self.build_with_frontier(file_sizes, &[])
+    }
+
+    /// Lays out `file_sizes` as [`build`](Self::build) does, then
+    /// appends one file per entry of `frontier` as
+    /// [`FileMap::append_files`] does: contiguously, right after the
+    /// footprint. The map's vectors are sized once for both, from the
+    /// expected number of broken boundaries plus a margin, so none of
+    /// them grows by doubling; the unused margin is released in place.
+    pub fn build_with_frontier(&self, file_sizes: &[u32], frontier: &[u32]) -> FileMap {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xF0_4D_15_C0);
+        // A non-empty file is one run plus one per broken boundary, and
+        // a non-empty frontier file one run: room for the expected
+        // count, with a sixteenth of the breaks as margin.
+        let non_empty = |sizes: &[u32]| sizes.iter().filter(|&&s| s > 0).count();
+        let appended = non_empty(frontier);
+        let boundaries: u64 = file_sizes.iter().map(|&s| s.saturating_sub(1) as u64).sum();
+        let breaks = boundaries as f64 * self.fragmentation;
+        let room = non_empty(file_sizes) + (breaks * 1.0625).ceil() as usize + 64 + appended;
         // 1. Split each file into runs at broken boundaries. The runs
         //    come out grouped by file in file-offset order, which is
         //    the map's extent order; only their starts are left to set.
-        let mut extents: Vec<Extent> = Vec::with_capacity(file_sizes.len());
-        let mut extent_file: Vec<u32> = Vec::with_capacity(file_sizes.len());
-        let mut file_start: Vec<u32> = Vec::with_capacity(file_sizes.len() + 1);
+        let mut extents: Vec<Extent> = Vec::with_capacity(room);
+        let mut extent_file: Vec<u32> = Vec::with_capacity(room);
+        let mut file_start: Vec<u32> = Vec::with_capacity(file_sizes.len() + frontier.len() + 1);
         for (fi, &size) in file_sizes.iter().enumerate() {
             file_start.push(extents.len() as u32);
             let mut run_start = 0u32;
@@ -126,13 +144,12 @@ impl LayoutBuilder {
             }
         }
         file_start.push(extents.len() as u32);
-        extents.shrink_to_fit();
-        extent_file.shrink_to_fit();
         // 2. Place runs. With no fragmentation the order is file order
         //    (contiguous files back-to-back); with fragmentation the
         //    runs are shuffled so broken pieces scatter. Placement
         //    order is start order.
-        let mut order: Vec<u32> = (0..extents.len() as u32).collect();
+        let mut order: Vec<u32> = Vec::with_capacity(extents.len() + appended);
+        order.extend(0..extents.len() as u32);
         if self.fragmentation > 0.0 {
             order.shuffle(&mut rng);
         }
@@ -150,7 +167,10 @@ impl LayoutBuilder {
             e.start = LogicalBlock::new(cursor);
             cursor += len + self.spacing_blocks;
         }
-        FileMap::from_placement(extents, file_start, extent_file, order)
+        let mut map = FileMap::from_placement(extents, file_start, extent_file, order);
+        map.append_files(frontier);
+        map.shrink_to_fit();
+        map
     }
 }
 
@@ -235,6 +255,26 @@ mod tests {
             .build(&[16; 100]);
         let differs = (0..100).any(|f| a.extents(FileId::new(f)) != c.extents(FileId::new(f)));
         assert!(differs, "different seeds should differ");
+    }
+
+    #[test]
+    fn frontier_build_equals_build_then_append() {
+        for q in [0.0, 0.3] {
+            let builder = LayoutBuilder::new().fragmentation(q).seed(5);
+            let sizes: Vec<u32> = (0..60).map(|i| i % 9).collect();
+            let frontier = [4, 0, 7, 1];
+            let mut want = builder.build(&sizes);
+            want.append_files(&frontier);
+            let got = builder.build_with_frontier(&sizes, &frontier);
+            assert_eq!(got.file_count(), want.file_count());
+            assert_eq!(got.total_blocks(), want.total_blocks());
+            for f in 0..want.file_count() {
+                let f = FileId::new(f);
+                assert_eq!(got.extents(f), want.extents(f), "q={q} {f}");
+            }
+            assert!(got.extents_by_start().eq(want.extents_by_start()));
+            assert!(got.heap_bytes() <= want.heap_bytes());
+        }
     }
 
     #[test]

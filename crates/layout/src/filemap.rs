@@ -204,6 +204,14 @@ impl FileMap {
         }
     }
 
+    /// Releases the vectors' spare capacity in place.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.extents.shrink_to_fit();
+        self.file_start.shrink_to_fit();
+        self.extent_file.shrink_to_fit();
+        self.by_start.shrink_to_fit();
+    }
+
     /// Number of files.
     pub fn file_count(&self) -> u32 {
         (self.file_start.len() - 1) as u32

@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 use forhdc_layout::{FileId, LayoutBuilder};
 use forhdc_sim::ReadWrite;
 
-use crate::synth::emit_file_access;
+use crate::synth::{access_requests, emit_file_access, request_capacity};
 use crate::trace::{Trace, TraceRequest, Workload};
 use crate::util::sample_file_blocks;
 use crate::zipf::ZipfSampler;
@@ -234,6 +234,11 @@ impl ServerWorkloadSpec {
     /// Scales the request count (e.g. `0.1` for a quick run). Minimum
     /// one request.
     ///
+    /// Only the request count scales. The file population, and so the
+    /// layout and its footprint, stay full size, so a clone at scale
+    /// 0.05 still lays out every file (only the proxy's write frontier
+    /// shrinks with the request count).
+    ///
     /// # Panics
     ///
     /// Panics if `factor` is not positive and finite.
@@ -250,23 +255,27 @@ impl ServerWorkloadSpec {
     }
 
     /// Generates the layout and disk-level trace.
+    ///
+    /// Every large buffer is allocated once, at its final size: the
+    /// layout's vectors hold the frontier from the start, and the
+    /// request buffer is reserved from the layout's expected requests
+    /// per access, so neither grows by doubling (and copying) midway.
     pub fn generate(&self) -> ServerWorkload {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x5E4E_1253);
+        let mut draw_sizes = |n: usize| -> Vec<u32> {
+            (0..n)
+                .map(|_| {
+                    sample_file_blocks(
+                        &mut rng,
+                        self.mean_file_blocks,
+                        self.sigma,
+                        self.max_file_blocks,
+                    )
+                })
+                .collect()
+        };
         // File sizes: log-normal around the calibrated mean.
-        let sizes: Vec<u32> = (0..self.files)
-            .map(|_| {
-                sample_file_blocks(
-                    &mut rng,
-                    self.mean_file_blocks,
-                    self.sigma,
-                    self.max_file_blocks,
-                )
-            })
-            .collect();
-        let mut layout = LayoutBuilder::new()
-            .fragmentation(self.fragmentation)
-            .seed(self.seed)
-            .build(&sizes);
+        let sizes = draw_sizes(self.files);
         // Frontier area: pre-plan the objects future writes will
         // allocate, laid out sequentially past the existing space.
         let expected_writes = if self.frontier_writes {
@@ -274,23 +283,17 @@ impl ServerWorkloadSpec {
         } else {
             0
         };
-        let frontier: Vec<u32> = (0..expected_writes)
-            .map(|_| {
-                sample_file_blocks(
-                    &mut rng,
-                    self.mean_file_blocks,
-                    self.sigma,
-                    self.max_file_blocks,
-                )
-            })
-            .collect();
-        layout.append_files(&frontier);
+        let frontier = draw_sizes(expected_writes);
+        let layout = LayoutBuilder::new()
+            .fragmentation(self.fragmentation)
+            .seed(self.seed)
+            .build_with_frontier(&sizes, &frontier);
         let zipf = ZipfSampler::new(self.files, self.zipf_alpha);
         // Spatial order: files sorted by their first block's position,
         // so "nearby in this order" means "physically adjacent".
-        let mut spatial: Vec<u32> = (0..self.files as u32)
-            .filter(|&f| !layout.extents(FileId::new(f)).is_empty())
-            .collect();
+        let mut spatial: Vec<u32> = Vec::with_capacity(self.files);
+        spatial
+            .extend((0..self.files as u32).filter(|&f| !layout.extents(FileId::new(f)).is_empty()));
         spatial.sort_by_key(|&f| layout.extents(FileId::new(f))[0].start);
         let mut pos_of = vec![0u32; self.files];
         for (pos, &f) in spatial.iter().enumerate() {
@@ -308,7 +311,22 @@ impl ServerWorkloadSpec {
             rank_to_file.extend_from_slice(&spatial[c * cluster..end]);
         }
 
-        let mut requests = Vec::with_capacity(self.requests);
+        let per_access = if self.whole_file {
+            // A session starts at a Zipf draw or a uniform one (hot
+            // sets, frontier objects): the larger mean bounds the mix.
+            let cost = |f: u32| access_requests(&layout, FileId::new(f), self.coalesce_prob);
+            let zipf_mean: f64 = (0..rank_to_file.len())
+                .map(|r| zipf.probability(r) * cost(rank_to_file[r]))
+                .sum();
+            let all = layout.file_count();
+            let uniform_mean = (0..all).map(cost).sum::<f64>() / all.max(1) as f64;
+            zipf_mean.max(uniform_mean)
+        } else {
+            // A partial access is one request per block at most, and
+            // exactly one when the mean access is one block.
+            self.mean_access_blocks.max(1.0)
+        };
+        let mut requests = Vec::with_capacity(request_capacity(self.requests, per_access));
         let mut job_lens = Vec::with_capacity(self.requests);
         // One active session per stream, interleaved at random — the
         // in-flight window of the replay then covers ~`streams`
@@ -319,12 +337,18 @@ impl ServerWorkloadSpec {
         // never reach the disk, so sessions visit each file once.
         let w = self.locality_window.max(1);
         // (base position in spatial order, remaining offsets to visit
-        // in shuffled order — distinct files, non-sequential arrival)
-        let mut sessions: Vec<Option<(u32, Vec<u32>)>> = vec![None; self.streams.max(1) as usize];
+        // in shuffled order — distinct files, non-sequential arrival).
+        // A slot with nothing left starts a fresh session, refilling
+        // its buffer in place.
+        let mut sessions: Vec<(u32, Vec<u32>)> = (0..self.streams.max(1))
+            .map(|_| (0, Vec::with_capacity(w as usize - 1)))
+            .collect();
         // Epoch hot set: spatial positions of the currently hot files.
         let epoch = self.epoch_requests.max(1) as usize;
         let hot_clusters = (self.hot_set_files.max(1)).div_ceil(w) as usize;
-        let mut hot_positions: Vec<u32> = Vec::new();
+        let hot_per_cluster = self.hot_set_files.min(w * hot_clusters as u32) / hot_clusters as u32;
+        let mut hot_positions: Vec<u32> =
+            Vec::with_capacity(hot_clusters * hot_per_cluster as usize);
         let mut frontier_next = 0usize;
         for i in 0..self.requests {
             if self.hot_fraction > 0.0 && i % epoch == 0 {
@@ -333,9 +357,7 @@ impl ServerWorkloadSpec {
                     // Uniform bases: hot sets churn, so the full-trace
                     // histogram stays as flat as Figure 2's.
                     let base = rng.gen_range(0..spatial.len() as u32);
-                    for k in 0..self.hot_set_files.min(w.max(1) * hot_clusters as u32)
-                        / hot_clusters as u32
-                    {
+                    for k in 0..hot_per_cluster {
                         hot_positions.push((base + k) % spatial.len() as u32);
                     }
                 }
@@ -385,18 +407,15 @@ impl ServerWorkloadSpec {
                 continue;
             }
             let slot = rng.gen_range(0..sessions.len());
-            let continued = match &mut sessions[slot] {
-                Some((base, remaining))
-                    if !remaining.is_empty()
-                        && self.locality > 0.0
-                        && rng.gen_bool(self.locality) =>
-                {
+            let (base, remaining) = &mut sessions[slot];
+            let continued =
+                if !remaining.is_empty() && self.locality > 0.0 && rng.gen_bool(self.locality) {
                     let off = remaining.pop().expect("checked non-empty");
                     let pos = (*base as u64 + off as u64) % spatial.len() as u64;
                     Some(FileId::new(spatial[pos as usize]))
-                }
-                _ => None,
-            };
+                } else {
+                    None
+                };
             let file = match continued {
                 Some(f) => f,
                 None => {
@@ -410,9 +429,10 @@ impl ServerWorkloadSpec {
                     } else {
                         pos_of[rank_to_file[zipf.sample(&mut rng)] as usize]
                     };
-                    let mut remaining: Vec<u32> = (1..w).collect();
+                    remaining.clear();
+                    remaining.extend(1..w);
                     remaining.shuffle(&mut rng);
-                    sessions[slot] = Some((pos, remaining));
+                    *base = pos;
                     FileId::new(spatial[pos as usize])
                 }
             };

@@ -191,8 +191,14 @@ impl SyntheticWorkloadBuilder {
         let mut rank_to_file: Vec<u32> = (0..self.files as u32).collect();
         rank_to_file.shuffle(&mut rng);
         let zipf = ZipfSampler::new(self.files, self.zipf_alpha);
+        let per_access = (0..self.files)
+            .map(|r| {
+                zipf.probability(r)
+                    * access_requests(&layout, FileId::new(rank_to_file[r]), self.coalesce_prob)
+            })
+            .sum();
 
-        let mut requests = Vec::with_capacity(self.requests);
+        let mut requests = Vec::with_capacity(request_capacity(self.requests, per_access));
         let mut job_lens = Vec::with_capacity(self.requests);
         for _ in 0..self.requests {
             let file = FileId::new(rank_to_file[zipf.sample(&mut rng)]);
@@ -224,6 +230,28 @@ impl SyntheticWorkloadBuilder {
             streams: self.streams,
         }
     }
+}
+
+/// Expected disk requests of one whole-file access to `file` (see
+/// [`emit_file_access`]): one per extent, plus a split at each of the
+/// extent's internal block boundaries with probability
+/// `1 − coalesce_prob`.
+pub(crate) fn access_requests(layout: &FileMap, file: FileId, coalesce_prob: f64) -> f64 {
+    let extents = layout.extents(file).len() as f64;
+    let blocks = layout.file_blocks(file) as f64;
+    extents + (blocks - extents) * (1.0 - coalesce_prob.min(1.0))
+}
+
+/// Capacity for the disk requests of `accesses` accesses that emit
+/// `per_access ≥ 1` requests each on average. Every access emits at
+/// least one request; the mean's excess over that is where a
+/// heavy-tailed size mix makes the count vary, so the excess gets a
+/// half again as margin, and the buffer does not double (and copy)
+/// near its end. An access that emits exactly one request gets no
+/// margin at all. [`Trace`] releases unused capacity in place.
+pub(crate) fn request_capacity(accesses: usize, per_access: f64) -> usize {
+    let excess = (per_access - 1.0).max(0.0) * 1.5;
+    accesses + (accesses as f64 * excess).ceil() as usize
 }
 
 /// Appends the disk requests of one whole-file access: the file's

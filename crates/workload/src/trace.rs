@@ -44,20 +44,23 @@ pub struct Trace {
 
 impl Trace {
     /// Creates a trace where every request is an independent job.
-    pub fn new(requests: Vec<TraceRequest>) -> Self {
+    /// Spare capacity in `requests` is released in place.
+    pub fn new(mut requests: Vec<TraceRequest>) -> Self {
+        requests.shrink_to_fit();
         Trace {
             requests: Arc::new(requests),
             job_lens: Arc::default(),
         }
     }
 
-    /// Creates a trace with explicit job grouping.
+    /// Creates a trace with explicit job grouping. Spare capacity in
+    /// either vector is released in place.
     ///
     /// # Panics
     ///
     /// Panics if the job lengths do not sum to the request count or any
     /// job is empty.
-    pub fn with_jobs(requests: Vec<TraceRequest>, job_lens: Vec<u32>) -> Self {
+    pub fn with_jobs(requests: Vec<TraceRequest>, mut job_lens: Vec<u32>) -> Self {
         let total: u64 = job_lens.iter().map(|&l| l as u64).sum();
         assert_eq!(
             total,
@@ -69,9 +72,10 @@ impl Trace {
             // Every request its own job: the default needs no lengths.
             return Trace::new(requests);
         }
+        job_lens.shrink_to_fit();
         Trace {
-            requests: Arc::new(requests),
             job_lens: Arc::new(job_lens),
+            ..Trace::new(requests)
         }
     }
 

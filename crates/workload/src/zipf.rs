@@ -10,8 +10,11 @@ use rand::Rng;
 
 /// A sampler over ranks `0..n` with Zipf(α) popularity.
 ///
-/// Construction is `O(n)`; sampling is `O(log n)` (binary search over
-/// the precomputed CDF).
+/// Construction is `O(n)`. Sampling is `O(1)` expected: a guide table
+/// of `n` equal-width buckets over `[0, 1)` holds, per bucket, the
+/// first rank whose CDF entry lies in that bucket or a later one, and
+/// a short forward scan from there finds the rank (Chen and Asau's guide-table method). The
+/// rank is exactly the one a binary search over the CDF returns.
 ///
 /// # Example
 ///
@@ -29,6 +32,8 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     cdf: Vec<f64>,
+    /// `guide[j]` is the first rank `i` with `bucket(cdf[i]) >= j`.
+    guide: Vec<u32>,
     alpha: f64,
 }
 
@@ -54,7 +59,16 @@ impl ZipfSampler {
         for v in &mut cdf {
             *v /= total;
         }
-        ZipfSampler { cdf, alpha }
+        // One sweep: both the bucket index and the rank only rise.
+        let mut guide = Vec::with_capacity(n);
+        let mut i = 0;
+        for j in 0..n {
+            while i + 1 < n && bucket(cdf[i], n) < j {
+                i += 1;
+            }
+            guide.push(u32::try_from(i).expect("ranks fit u32"));
+        }
+        ZipfSampler { cdf, guide, alpha }
     }
 
     /// Number of ranks.
@@ -99,9 +113,33 @@ impl ZipfSampler {
 
     /// Draws one rank (0-based; rank 0 is the most popular).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        self.rank_of(rng.gen())
     }
+
+    /// The rank a uniform draw `u` selects: the first rank whose
+    /// cumulative probability reaches `u`, or the last rank if none
+    /// does.
+    ///
+    /// Every rank before the answer has a CDF entry below `u`, so its
+    /// bucket is at most `u`'s; the answer's entry is at least `u`, so
+    /// its bucket is at least `u`'s. The guide entry of `u`'s bucket is
+    /// therefore never past the answer, and the scan from it stops
+    /// exactly there.
+    pub fn rank_of(&self, u: f64) -> usize {
+        let last = self.cdf.len() - 1;
+        let mut i = self.guide[bucket(u, self.cdf.len())] as usize;
+        while i < last && self.cdf[i] < u {
+            i += 1;
+        }
+        i
+    }
+}
+
+/// The guide bucket of `x` among `n`: `⌊x·n⌋`, clamped to `0..n`. It
+/// never decreases as `x` grows, which is all [`ZipfSampler::rank_of`]
+/// relies on.
+fn bucket(x: f64, n: usize) -> usize {
+    ((x * n as f64) as usize).min(n - 1)
 }
 
 #[cfg(test)]
@@ -109,6 +147,40 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The binary search the guide table replaces.
+    fn rank_by_search(z: &ZipfSampler, u: f64) -> usize {
+        z.cdf.partition_point(|&c| c < u).min(z.cdf.len() - 1)
+    }
+
+    #[test]
+    fn guide_table_matches_binary_search() {
+        for n in [1usize, 2, 7, 1000, 70_000] {
+            for alpha in [0.0, 0.4, 0.6, 1.5] {
+                let z = ZipfSampler::new(n, alpha);
+                let check = |u: f64| {
+                    assert_eq!(
+                        z.rank_of(u),
+                        rank_by_search(&z, u),
+                        "n {n}, alpha {alpha}, u {u:e}"
+                    );
+                };
+                for &c in &z.cdf {
+                    check(c.next_down());
+                    check(c);
+                    check(c.next_up());
+                }
+                for j in 0..=n {
+                    let edge = j as f64 / n as f64;
+                    check(edge.next_down());
+                    check(edge);
+                    check(edge.next_up());
+                }
+                check(0.0);
+                check(1.0f64.next_down());
+            }
+        }
+    }
 
     #[test]
     fn alpha_zero_is_uniform() {
