@@ -20,7 +20,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use forhdc_host::pipeline::FileAccess;
 use forhdc_layout::FileMap;
 use forhdc_sim::{LogicalBlock, ReadWrite, StripingMap};
-use forhdc_workload::{Trace, TraceRequest, Workload};
+use forhdc_workload::{TraceBuilder, TraceRequest, Workload};
 
 /// A host→controller HDC command, in logical (array) space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,8 +133,10 @@ pub fn build_victim_workload(
     assert!(cfg.streams > 0, "need at least one stream");
     let mut cache = TrackingLru::default();
     let mut stats = VictimBuildStats::default();
-    let mut requests: Vec<TraceRequest> = Vec::new();
-    let mut job_lens: Vec<u32> = Vec::new();
+    // Jobs are closed by length, the next `n` requests after the last
+    // boundary: a write-back in the middle of an access closes a
+    // one-request job at the first request not yet in a job.
+    let mut requests = TraceBuilder::default();
     let mut commands: HashMap<u64, Vec<HdcCommand>> = HashMap::new();
     // Host-side view of what is pinned where.
     let mut pinned: HashMap<LogicalBlock, ()> = HashMap::new();
@@ -153,7 +155,7 @@ pub fn build_victim_workload(
         // unpins — the promoted block must still be pinned when its
         // read arrives).
         let flush_run = |run: &mut Option<(LogicalBlock, u32)>,
-                         requests: &mut Vec<TraceRequest>,
+                         requests: &mut TraceBuilder,
                          job_requests: &mut u32,
                          commands: &mut HashMap<u64, Vec<HdcCommand>>,
                          pending_before: &mut Vec<HdcCommand>,
@@ -246,7 +248,7 @@ pub fn build_victim_workload(
                         nblocks: 1,
                         kind: ReadWrite::Write,
                     });
-                    job_lens.push(1);
+                    requests.close_job(1);
                     stats.writebacks += 1;
                 } else if cfg.hdc_blocks_per_disk > 0 && !pinned.contains_key(&victim) {
                     // Clean eviction: pin into the victim cache,
@@ -277,7 +279,7 @@ pub fn build_victim_workload(
             acc.kind,
         );
         if job_requests > 0 {
-            job_lens.push(job_requests);
+            requests.close_job(job_requests as usize);
         }
     }
     stats.buffer_hit_rate = if demand == 0 {
@@ -289,7 +291,7 @@ pub fn build_victim_workload(
         workload: Workload {
             name: "victim-cache".into(),
             layout: layout.clone(),
-            trace: Trace::with_jobs(requests, job_lens),
+            trace: requests.build(),
             streams: cfg.streams,
         },
         commands,

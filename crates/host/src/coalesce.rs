@@ -109,7 +109,7 @@ mod tests {
         ];
         let t = coalesce_window(&log, SimDuration::from_millis(2));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.requests()[0].nblocks, 3);
+        assert_eq!({ t.requests()[0].nblocks }, 3);
     }
 
     #[test]

@@ -201,7 +201,7 @@ mod tests {
         let layout = LayoutBuilder::new().build(&[8; 4]);
         let out = derive_disk_trace(&[read(0, 1, 0, 8)], &layout, PipelineConfig::default());
         assert_eq!(out.trace.len(), 1);
-        assert_eq!(out.trace.requests()[0].nblocks, 8);
+        assert_eq!({ out.trace.requests()[0].nblocks }, 8);
         assert_eq!(out.buffer_hit_rate, 0.0);
     }
 

@@ -74,13 +74,10 @@ impl StreamDriver {
         if self.next_job >= self.job_count {
             return false;
         }
-        let len = match self.trace.job_lens().get(self.next_job) {
-            Some(&l) => l as usize,
-            None => 1,
-        };
-        self.cursor[stream] = (self.next_req, self.next_req + len);
+        let end = self.trace.job_end(self.next_req);
+        self.cursor[stream] = (self.next_req, end);
         self.next_job += 1;
-        self.next_req += len;
+        self.next_req = end;
         true
     }
 
@@ -203,14 +200,14 @@ mod tests {
         let batch = d.start();
         assert_eq!(batch.len(), 2);
         let (s0, r0) = batch[0];
-        assert_eq!(r0.start, LogicalBlock::new(0));
+        assert_eq!({ r0.start }, LogicalBlock::new(0));
         // Completing the first request of the job yields the next
         // request of the *same* job on the *same* stream.
         let (s, r1) = d.complete(s0).unwrap();
         assert_eq!(s, s0);
-        assert_eq!(r1.start, LogicalBlock::new(1));
+        assert_eq!({ r1.start }, LogicalBlock::new(1));
         let (_, r2) = d.complete(s0).unwrap();
-        assert_eq!(r2.start, LogicalBlock::new(2));
+        assert_eq!({ r2.start }, LogicalBlock::new(2));
         assert!(d.complete(s0).is_none()); // log drained for this stream
     }
 

@@ -136,7 +136,7 @@ impl LayoutBuilder {
                     extents.push(Extent {
                         start: LogicalBlock::new(0),
                         len: b - run_start,
-                        file_offset: run_start as u64,
+                        file_offset: run_start,
                     });
                     extent_file.push(fi as u32);
                     run_start = b;

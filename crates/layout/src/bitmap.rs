@@ -245,7 +245,7 @@ pub fn check_bitmap_consistency(
     let placed: Vec<(FileId, Extent)> = map.extents_by_start().map(|(f, e)| (f, *e)).collect();
     let mut l = 0u64;
     for (file, e) in placed {
-        let (start, end, first_offset) = (e.start.index(), e.end().index(), e.file_offset);
+        let (start, end, first_offset) = (e.start.index(), e.end().index(), e.file_offset as u64);
         let key = file.index() as u64 + 1;
         while l < end {
             let owner = if l >= start {

@@ -31,15 +31,17 @@ impl fmt::Display for FileId {
     }
 }
 
-/// A physically contiguous run of one file's blocks.
+/// A physically contiguous run of one file's blocks, in 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Extent {
     /// First logical block of the run.
     pub start: LogicalBlock,
     /// Length in blocks.
     pub len: u32,
-    /// Offset (in blocks) of the run within its file.
-    pub file_offset: u64,
+    /// Offset (in blocks) of the run within its file. Files are sized
+    /// in `u32` blocks, so the offset fits; widen it to `u64` before
+    /// adding to it.
+    pub file_offset: u32,
 }
 
 impl Extent {
@@ -132,7 +134,7 @@ impl FileMap {
             for e in file {
                 assert!(e.len > 0, "zero-length extent in {id}");
                 assert_eq!(
-                    e.file_offset, covered,
+                    e.file_offset as u64, covered,
                     "extent gap in {id}: expected offset {covered}"
                 );
                 covered += e.len as u64;
@@ -225,7 +227,7 @@ impl FileMap {
     pub fn file_blocks(&self, file: FileId) -> u64 {
         self.extents(file)
             .last()
-            .map_or(0, |e| e.file_offset + e.len as u64)
+            .map_or(0, |e| e.file_offset as u64 + e.len as u64)
     }
 
     /// The file's extents in file-offset order.
@@ -263,7 +265,7 @@ impl FileMap {
                     let (disk, phys) = striping.locate(LogicalBlock::new(l));
                     let piece = UnitPiece {
                         file,
-                        file_offset: e.file_offset + (l - start),
+                        file_offset: e.file_offset as u64 + (l - start),
                         disk,
                         phys,
                         len,
@@ -282,8 +284,9 @@ impl FileMap {
             return None;
         }
         let exts = self.extents(file);
-        let e = exts[..exts.partition_point(|e| e.file_offset <= offset)].last()?;
-        (offset < e.file_offset + e.len as u64).then(|| e.start.offset(offset - e.file_offset))
+        let e = exts[..exts.partition_point(|e| e.file_offset as u64 <= offset)].last()?;
+        let within = offset - e.file_offset as u64;
+        (within < e.len as u64).then(|| e.start.offset(within))
     }
 
     /// Ownership of a logical block, or `None` for unallocated space:
@@ -296,7 +299,7 @@ impl FileMap {
         let e = &self.extents[slot];
         (block < e.end()).then(|| BlockOwner {
             file: FileId::new(self.extent_file[slot]),
-            offset: e.file_offset + (block.index() - e.start.index()),
+            offset: e.file_offset as u64 + (block.index() - e.start.index()),
         })
     }
 
@@ -335,7 +338,7 @@ impl FileMap {
 mod tests {
     use super::*;
 
-    fn ext(start: u64, len: u32, file_offset: u64) -> Extent {
+    fn ext(start: u64, len: u32, file_offset: u32) -> Extent {
         Extent {
             start: LogicalBlock::new(start),
             len,
@@ -394,26 +397,26 @@ mod tests {
         // File 0 has 200 extents of 1..=3 blocks, interleaved with
         // one-block extents of file 1 so no two of its runs abut.
         let (mut file0, mut file1) = (Vec::new(), Vec::new());
-        let (mut start, mut offset) = (0u64, 0u64);
-        for i in 0..200u64 {
-            let len = 1 + (i % 3) as u32;
+        let (mut start, mut offset) = (0u64, 0u32);
+        for i in 0..200u32 {
+            let len = 1 + i % 3;
             file0.push(ext(start, len, offset));
             file1.push(ext(start + len as u64, 1, i));
             start += len as u64 + 1;
-            offset += len as u64;
+            offset += len;
         }
         let map = FileMap::from_extents(vec![file0.clone(), file1]);
         assert_eq!(map.extents(FileId::new(0)).len(), 200);
-        assert_eq!(map.file_blocks(FileId::new(0)), offset);
+        assert_eq!(map.file_blocks(FileId::new(0)), offset as u64);
         for e in &file0 {
             for i in 0..e.len as u64 {
                 assert_eq!(
-                    map.block_at(FileId::new(0), e.file_offset + i),
+                    map.block_at(FileId::new(0), e.file_offset as u64 + i),
                     Some(e.start.offset(i))
                 );
             }
         }
-        assert_eq!(map.block_at(FileId::new(0), offset), None);
+        assert_eq!(map.block_at(FileId::new(0), offset as u64), None);
         assert_eq!(
             map.block_at(FileId::new(1), 199),
             Some(LogicalBlock::new(start - 1))

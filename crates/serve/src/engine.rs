@@ -643,12 +643,13 @@ impl Engine {
         });
         let unit = self.striping.unit_blocks() as u64;
         for e in self.map.extents(FileId::new(file)) {
-            let lo = e.file_offset.max(offset);
-            let hi = (e.file_offset + e.len as u64).min(end);
+            let first = e.file_offset as u64;
+            let lo = first.max(offset);
+            let hi = (first + e.len as u64).min(end);
             if lo >= hi {
                 continue;
             }
-            let mut cursor = e.start.offset(lo - e.file_offset);
+            let mut cursor = e.start.offset(lo - first);
             let mut left = hi - lo;
             while left > 0 {
                 let within = cursor.index() % unit;

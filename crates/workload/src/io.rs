@@ -26,7 +26,7 @@ use std::io::{BufRead, Write};
 use forhdc_layout::{Extent, FileId, FileMap};
 use forhdc_sim::{LogicalBlock, ReadWrite};
 
-use crate::trace::{Trace, TraceRequest};
+use crate::trace::{Trace, TraceBuilder, TraceRequest};
 
 /// Error from parsing a trace or layout file.
 #[derive(Debug)]
@@ -98,7 +98,7 @@ pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> std::io::Result<()> {
                 w,
                 "{} {} {} {}",
                 r.start.index(),
-                r.nblocks,
+                { r.nblocks },
                 if r.kind.is_write() { 'W' } else { 'R' },
                 job_id
             )?;
@@ -114,8 +114,7 @@ pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> std::io::Result<()> {
 ///
 /// Returns [`ReadError`] on I/O failure or malformed lines.
 pub fn read_trace<R: BufRead>(r: R) -> Result<Trace, ReadError> {
-    let mut requests: Vec<TraceRequest> = Vec::new();
-    let mut job_lens: Vec<u32> = Vec::new();
+    let mut trace = TraceBuilder::default();
     let mut last_job: Option<u64> = None;
     for (idx, line) in r.lines().enumerate() {
         let line = line?;
@@ -151,20 +150,20 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<Trace, ReadError> {
             .parse()
             .map_err(|e| err(format!("bad job id: {e}")))?;
         match last_job {
-            Some(j) if j == job => *job_lens.last_mut().expect("job in progress") += 1,
             Some(j) if job < j => {
                 return Err(err(format!("job ids must be non-decreasing ({job} after {j})")).into())
             }
-            _ => job_lens.push(1),
+            Some(j) if job > j => trace.end_job(),
+            _ => {}
         }
         last_job = Some(job);
-        requests.push(TraceRequest {
+        trace.push(TraceRequest {
             start: LogicalBlock::new(start),
             nblocks,
             kind,
         });
     }
-    Ok(Trace::with_jobs(requests, job_lens))
+    Ok(trace.build())
 }
 
 /// Writes `layout` in the v1 text format.
@@ -217,7 +216,7 @@ pub fn read_layout<R: BufRead>(r: R) -> Result<FileMap, ReadError> {
         let len: u32 = fields[2]
             .parse()
             .map_err(|e| err(format!("bad len: {e}")))?;
-        let file_offset: u64 = fields[3]
+        let file_offset: u32 = fields[3]
             .parse()
             .map_err(|e| err(format!("bad offset: {e}")))?;
         if extents.len() <= file {
@@ -284,7 +283,7 @@ mod tests {
         let text = "#forhdc-trace v1\n\n# a comment\n7 2 R 0\n";
         let t = read_trace(text.as_bytes()).unwrap();
         assert_eq!(t.len(), 1);
-        assert_eq!(t.requests()[0].start, LogicalBlock::new(7));
+        assert_eq!({ t.requests()[0].start }, LogicalBlock::new(7));
     }
 
     #[test]

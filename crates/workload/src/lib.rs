@@ -31,5 +31,5 @@ pub mod zipf;
 pub use counts::BlockCounts;
 pub use server::{ServerKind, ServerWorkload, ServerWorkloadSpec};
 pub use synth::{SyntheticWorkload, SyntheticWorkloadBuilder};
-pub use trace::{Trace, TraceRequest, Workload};
+pub use trace::{Trace, TraceBuilder, TraceRequest, Workload};
 pub use zipf::ZipfSampler;

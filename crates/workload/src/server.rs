@@ -30,7 +30,7 @@ use forhdc_layout::{FileId, LayoutBuilder};
 use forhdc_sim::ReadWrite;
 
 use crate::synth::{access_requests, emit_file_access, request_capacity};
-use crate::trace::{Trace, TraceRequest, Workload};
+use crate::trace::{TraceBuilder, TraceRequest, Workload};
 use crate::util::sample_file_blocks;
 use crate::zipf::ZipfSampler;
 
@@ -326,8 +326,7 @@ impl ServerWorkloadSpec {
             // exactly one when the mean access is one block.
             self.mean_access_blocks.max(1.0)
         };
-        let mut requests = Vec::with_capacity(request_capacity(self.requests, per_access));
-        let mut job_lens = Vec::with_capacity(self.requests);
+        let mut trace = TraceBuilder::with_capacity(request_capacity(self.requests, per_access));
         // One active session per stream, interleaved at random — the
         // in-flight window of the replay then covers ~`streams`
         // concurrent spatial regions, as in a real server. A session
@@ -370,18 +369,15 @@ impl ServerWorkloadSpec {
             {
                 let f = FileId::new((self.files + frontier_next) as u32);
                 frontier_next += 1;
-                let before = requests.len();
                 emit_file_access(
                     &layout,
                     f,
                     ReadWrite::Write,
                     self.coalesce_prob,
                     &mut rng,
-                    &mut requests,
+                    &mut trace,
                 );
-                if requests.len() > before {
-                    job_lens.push((requests.len() - before) as u32);
-                }
+                trace.end_job();
                 continue;
             }
             if self.frontier_writes
@@ -392,18 +388,15 @@ impl ServerWorkloadSpec {
                 let window = (self.recent_window.max(1) as usize).min(frontier_next);
                 let pick = frontier_next - 1 - rng.gen_range(0..window);
                 let f = FileId::new((self.files + pick) as u32);
-                let before = requests.len();
                 emit_file_access(
                     &layout,
                     f,
                     ReadWrite::Read,
                     self.coalesce_prob,
                     &mut rng,
-                    &mut requests,
+                    &mut trace,
                 );
-                if requests.len() > before {
-                    job_lens.push((requests.len() - before) as u32);
-                }
+                trace.end_job();
                 continue;
             }
             let slot = rng.gen_range(0..sessions.len());
@@ -444,7 +437,6 @@ impl ServerWorkloadSpec {
             } else {
                 ReadWrite::Read
             };
-            let before = requests.len();
             if self.whole_file {
                 emit_file_access(
                     &layout,
@@ -452,20 +444,18 @@ impl ServerWorkloadSpec {
                     kind,
                     self.coalesce_prob,
                     &mut rng,
-                    &mut requests,
+                    &mut trace,
                 );
             } else {
-                self.emit_partial_access(&layout, file, kind, &mut rng, &mut requests);
+                self.emit_partial_access(&layout, file, kind, &mut rng, &mut trace);
             }
-            if requests.len() > before {
-                job_lens.push((requests.len() - before) as u32);
-            }
+            trace.end_job();
         }
         ServerWorkload {
             workload: Workload {
                 name: format!("{}-server", self.kind),
                 layout,
-                trace: Trace::with_jobs(requests, job_lens),
+                trace: trace.build(),
                 streams: self.streams,
             },
             spec: self.clone(),
@@ -479,7 +469,7 @@ impl ServerWorkloadSpec {
         file: FileId,
         kind: ReadWrite,
         rng: &mut R,
-        out: &mut Vec<TraceRequest>,
+        out: &mut TraceBuilder,
     ) {
         let fsize = layout.file_blocks(file);
         if fsize == 0 {

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use forhdc_layout::{FileId, FileMap, LayoutBuilder};
 use forhdc_sim::ReadWrite;
 
-use crate::trace::{Trace, TraceRequest, Workload};
+use crate::trace::{TraceBuilder, TraceRequest, Workload};
 use crate::zipf::ZipfSampler;
 
 /// Entry point for building synthetic workloads.
@@ -198,8 +198,7 @@ impl SyntheticWorkloadBuilder {
             })
             .sum();
 
-        let mut requests = Vec::with_capacity(request_capacity(self.requests, per_access));
-        let mut job_lens = Vec::with_capacity(self.requests);
+        let mut trace = TraceBuilder::with_capacity(request_capacity(self.requests, per_access));
         for _ in 0..self.requests {
             let file = FileId::new(rank_to_file[zipf.sample(&mut rng)]);
             let kind = if self.write_fraction > 0.0 && rng.gen_bool(self.write_fraction) {
@@ -207,16 +206,15 @@ impl SyntheticWorkloadBuilder {
             } else {
                 ReadWrite::Read
             };
-            let before = requests.len();
             emit_file_access(
                 &layout,
                 file,
                 kind,
                 self.coalesce_prob,
                 &mut rng,
-                &mut requests,
+                &mut trace,
             );
-            job_lens.push((requests.len() - before) as u32);
+            trace.end_job();
         }
         Workload {
             name: format!(
@@ -226,7 +224,7 @@ impl SyntheticWorkloadBuilder {
                 self.write_fraction * 100.0
             ),
             layout,
-            trace: Trace::with_jobs(requests, job_lens),
+            trace: trace.build(),
             streams: self.streams,
         }
     }
@@ -264,7 +262,7 @@ pub(crate) fn emit_file_access<R: Rng + ?Sized>(
     kind: ReadWrite,
     coalesce_prob: f64,
     rng: &mut R,
-    out: &mut Vec<TraceRequest>,
+    out: &mut TraceBuilder,
 ) {
     for extent in layout.extents(file) {
         let mut run_start = extent.start;

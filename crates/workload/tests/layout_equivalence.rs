@@ -29,7 +29,7 @@ fn naive_owners(map: &FileMap) -> Naive {
                     "block {} claimed twice",
                     e.start.index() + i
                 );
-                *slot = Some((f, e.file_offset + i));
+                *slot = Some((f, e.file_offset as u64 + i));
             }
         }
     }
@@ -87,7 +87,7 @@ fn check_queries(map: &FileMap, naive: &Naive) {
         let exts = map.extents(file);
         assert!(
             exts.windows(2)
-                .all(|p| p[0].file_offset + p[0].len as u64 == p[1].file_offset),
+                .all(|p| p[0].file_offset + p[0].len == p[1].file_offset),
             "{file} extents out of file-offset order"
         );
     }
@@ -237,7 +237,7 @@ fn from_extents_sorts_each_file_by_offset() {
     // File 0's extents arrive out of file-offset order.
     let text = "#forhdc-layout v1\n0 10 2 2\n1 0 4 0\n0 4 2 0\n";
     let map = read_layout(text.as_bytes()).unwrap();
-    let offsets: Vec<u64> = map
+    let offsets: Vec<u32> = map
         .extents(FileId::new(0))
         .iter()
         .map(|e| e.file_offset)
