@@ -2,8 +2,9 @@
 //! the simulator's per-layer primitives), the file-server layout's
 //! set-up passes (ns per logical block), server-clone generation (ns
 //! per disk request), HDC planning, plus end-to-end `fig3`- and
-//! `fig5`-point simulations, timed with plain wall clocks and emitted
-//! as machine-readable JSON (`BENCH_*.json`).
+//! `fig5`-point simulations and the benchmark's sim-web run, timed
+//! with plain wall clocks and emitted as machine-readable JSON
+//! (`BENCH_*.json`).
 //!
 //! ```text
 //! perf [--fast] [--json PATH] [--baseline PATH] [--fail-below RATIO]
@@ -251,10 +252,11 @@ fn bench_striping(h: &mut Harness) {
 }
 
 fn bench_calendar(h: &mut Harness) {
-    // One op: 1,000 pop/push pairs on the engine's calendar in steady
-    // state: 8 disk lanes with one completion each in flight, every
-    // popped completion re-armed on its lane, and one in 16 also
-    // scheduling a fallback-heap event (a retry).
+    // One op: 1,000 pop/push pairs on the event queue in steady state,
+    // driven through its laned interface: 8 disk lanes with one
+    // completion each in flight, every popped completion re-armed on
+    // its lane, and one in 16 also scheduling a lane-less event (a
+    // retry). The queue ignores the lanes.
     const LANES: usize = 8;
     const HEAP: usize = usize::MAX;
     h.bench("calendar/push_pop_1k", 2_000, |n| {
@@ -354,6 +356,38 @@ fn bench_e2e_fig5(h: &mut Harness) {
         .seed(seed)
         .build();
     bench_system(h, "e2e/fig5_point_for", &wl, SystemConfig::for_);
+}
+
+fn bench_e2e_sim_web(h: &mut Harness) {
+    // The benchmark's sim-web run: the Web clone at scale 4 (seed 42)
+    // under FOR with a 2-MByte HDC on a 16-KByte unit. Only
+    // `System::run` is timed; planning and assembly stay outside.
+    let wl = ServerWorkloadSpec::web()
+        .scale(4.0)
+        .with_seed(42)
+        .generate()
+        .workload;
+    let cfg = SystemConfig::for_()
+        .with_hdc(2 << 20)
+        .with_striping_unit(16 << 10);
+    let striping = StripingMap::new(cfg.array.virtual_disks(), cfg.array.striping_unit_blocks());
+    let plan = plan_top_misses(&wl.trace, &striping, cfg.hdc_blocks());
+    let requests = wl.trace.len() as u64;
+    let reps = if h.fast { 1 } else { 3 };
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let sys = System::with_plan(cfg.clone(), &wl, plan.clone());
+        let t = Instant::now();
+        std::hint::black_box(sys.run());
+        best = best.min(t.elapsed().as_nanos() as f64 / requests as f64);
+    }
+    let name = "e2e/sim_web_run";
+    outln!("{name:<40} {best:>12.1} ns/req  ({requests} reqs)");
+    h.results.push(BenchResult {
+        name,
+        ns_per_op: best,
+        ops: requests,
+    });
 }
 
 fn bench_layout(h: &mut Harness) {
@@ -614,6 +648,7 @@ fn main() -> ExitCode {
     bench_planner(&mut h);
     bench_e2e(&mut h);
     bench_e2e_fig5(&mut h);
+    bench_e2e_sim_web(&mut h);
 
     let mut regressed = Vec::new();
     if let Some(base) = &baseline {

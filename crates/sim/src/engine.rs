@@ -4,6 +4,11 @@
 //! Events scheduled for the same instant are delivered in the order they
 //! were scheduled (FIFO), which keeps whole-simulation runs bit-for-bit
 //! reproducible regardless of hash-map iteration order elsewhere.
+//!
+//! The queue is one binary min-heap keyed by a packed `u128`: the firing
+//! time in nanoseconds in the high 64 bits and a global schedule
+//! sequence number in the low 64, so one integer compare orders two
+//! entries by `(time, seq)`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -21,14 +26,20 @@ pub struct Fired<E> {
 
 #[derive(Debug)]
 struct Entry<E> {
-    time: SimTime,
-    seq: u64,
+    /// `time_ns << 64 | seq`.
+    key: u128,
     event: E,
+}
+
+impl<E> Entry<E> {
+    fn time(&self) -> SimTime {
+        SimTime::from_nanos((self.key >> 64) as u64)
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -39,7 +50,7 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+        self.key.cmp(&other.key)
     }
 }
 
@@ -88,25 +99,25 @@ impl<E> EventQueue<E> {
             "scheduled event in the past: {time} < now {}",
             self.now
         );
-        let seq = self.seq;
+        let key = (time.as_nanos() as u128) << 64 | self.seq as u128;
         self.seq += 1;
-        self.heap.push(Reverse(Entry { time, seq, event }));
+        self.heap.push(Reverse(Entry { key, event }));
     }
 
     /// Removes and returns the earliest event, advancing the clock to its
     /// firing time. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<Fired<E>> {
         let Reverse(entry) = self.heap.pop()?;
-        self.now = entry.time;
+        self.now = entry.time();
         Some(Fired {
-            time: entry.time,
+            time: self.now,
             event: entry.event,
         })
     }
 
     /// The firing time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.heap.peek().map(|Reverse(e)| e.time())
     }
 
     /// The current simulated time: the firing time of the most recently

@@ -10,10 +10,10 @@
 //!
 //! * [`time`] — integer-nanosecond simulated time ([`SimTime`],
 //!   [`SimDuration`]) with deterministic ordering.
-//! * [`engine`] — a calendar event queue with (time, sequence)
-//!   tie-breaking ([`EventQueue`]).
-//! * [`calendar`] — the per-lane calendar the engine runs on: identical pop
-//!   order and O(lanes) operations ([`LaneCalendar`]).
+//! * [`engine`] — the event queue: one binary heap keyed by packed
+//!   `(time, sequence)` ([`EventQueue`]).
+//! * [`calendar`] — the same queue under its laned name, the lane a
+//!   no-op ([`LaneCalendar`]).
 //! * [`geometry`] — physical-block → (cylinder, surface, sector) mapping
 //!   ([`DiskGeometry`]).
 //! * [`seek`] — the paper's piecewise seek-time model
