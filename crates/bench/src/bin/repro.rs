@@ -2,7 +2,7 @@
 //! paper's evaluation.
 //!
 //! ```text
-//! repro <experiment|all> [--jobs N] [--no-cache] [--scale X] [--requests N] [--out DIR] [--trace DIR] [--check] [--max-retries N] [--timings]
+//! repro <experiment|all> [--jobs N] [--scale X] [--requests N] [--out DIR] [--trace DIR] [--check] [--timings]
 //! repro fuzz [--iters N] [--seed S] [--out DIR]
 //! repro replay FILE
 //! repro --list
@@ -11,15 +11,13 @@
 //!                ablation-{sched,segrepl,blkrepl,segsize,coalesce,periodic,...}
 //!   --jobs N     worker threads for sweep experiments (default 1);
 //!                output is byte-identical for every N
-//!   --no-cache   bypass the result cache (<out>/.cache/)
 //!   --scale X    server-clone request scale (default 1.0)
 //!   --requests N synthetic request count (default 10000)
 //!   --out DIR    CSV output directory (default results/)
 //!   --trace DIR  write request-lifecycle traces to DIR/<id>/p<point>.jsonl
-//!                (implies --no-cache; deterministic for every --jobs N)
+//!                (deterministic for every --jobs N)
 //!   --check      run every point under the invariant auditor
-//!                (implies --no-cache; reports stay byte-identical)
-//!   --max-retries N  re-run a crashed job up to N extra times (default 0)
+//!                (reports stay byte-identical)
 //!   --timings    print a per-experiment timing table after the run
 //!   --list       print the experiment ids, one per line
 //!
@@ -30,22 +28,20 @@
 //!   replay FILE  re-run a reproducer; exits 0 iff it still fails
 //! ```
 //!
-//! Sweep experiments run as independent jobs on a worker pool and
-//! reassemble in deterministic point order, so `--jobs 8` produces the
-//! same bytes as a serial run. Completed jobs persist in the result
-//! cache, making an interrupted `repro all` resumable. Each run writes
-//! `<out>/manifest.json` with per-experiment timings and job counts.
+//! Every experiment runs as independent jobs on a worker pool and
+//! reassembles in deterministic point order, so `--jobs 8` produces the
+//! same bytes as a serial run. Each run writes `<out>/manifest.json`
+//! with per-experiment timings and job counts.
 //!
 //! A job that panics does not bring the run down: the failure is
-//! recorded in the manifest (and retried up to `--max-retries` times
-//! first), sibling jobs complete, no table or CSV is emitted for the
-//! broken experiment, and the process exits non-zero.
+//! recorded in the manifest, sibling jobs complete, no table or CSV is
+//! emitted for the broken experiment, and the process exits non-zero.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use forhdc_bench::{experiments, RunOptions};
-use forhdc_runner::{ExperimentStats, PhaseTimings, RunManifest, Runner};
+use forhdc_runner::{PhaseTimings, RunManifest, Runner};
 use forhdc_trace::outln;
 
 fn main() -> ExitCode {
@@ -58,8 +54,6 @@ fn main() -> ExitCode {
     let mut opts = RunOptions::default();
     let mut out_dir = PathBuf::from("results");
     let mut jobs = 1usize;
-    let mut max_retries = 0usize;
-    let mut use_cache = true;
     let mut timings = false;
     let mut targets: Vec<String> = Vec::new();
     let mut i = 0;
@@ -86,14 +80,6 @@ fn main() -> ExitCode {
                     _ => return usage_err("--jobs needs a positive integer"),
                 };
             }
-            "--max-retries" => {
-                i += 1;
-                max_retries = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) => v,
-                    None => return usage_err("--max-retries needs a non-negative integer"),
-                };
-            }
-            "--no-cache" => use_cache = false,
             "--check" => opts.check = true,
             "--trace" => {
                 i += 1;
@@ -158,60 +144,24 @@ fn main() -> ExitCode {
         }
     }
 
-    if opts.trace_dir.is_some() && use_cache {
-        // A cache hit skips the job closure entirely, so its trace file
-        // would never be written; tracing therefore runs every job.
-        outln!("note: --trace disables the result cache for this run");
-        use_cache = false;
-    }
-    if opts.check && use_cache {
-        // Same reasoning: a cache hit would skip the audited run, so
-        // checked mode re-executes every job.
-        outln!("note: --check disables the result cache for this run");
-        use_cache = false;
-    }
-    let cache_dir = use_cache.then(|| out_dir.join(".cache"));
-    let mut runner = Runner::new(jobs).max_retries(max_retries);
-    if let Some(dir) = &cache_dir {
-        runner = runner.cache_dir(dir);
-    }
-    let mut manifest = RunManifest::new(jobs, cache_dir.as_deref());
+    let runner = Runner::new(jobs);
+    let mut manifest = RunManifest::new(jobs);
     let mut io_failed = false;
     for id in ids {
         let started = std::time::Instant::now();
         let plan = experiments::plan(id, opts);
         let plan_wall = started.elapsed();
         let sim_started = std::time::Instant::now();
-        let table = match plan {
-            Some(p) => {
-                let (table, stats) = p.run_with(&runner);
-                if !stats.failures.is_empty() {
-                    eprintln!(
-                        "error: {id}: {} job(s) failed; no table written (details in {})",
-                        stats.failures.len(),
-                        out_dir.join("manifest.json").display()
-                    );
-                    io_failed = true;
-                }
-                manifest.record(&stats);
-                table
-            }
-            // Legacy serial path: single simulations and bespoke
-            // builders with nothing to decompose (jobs = 0). Planning
-            // and simulation are fused here, so everything after the
-            // (empty) plan probe counts as sim.
-            None => {
-                let table = experiments::run(id, opts);
-                manifest.record(&ExperimentStats {
-                    id: id.to_string(),
-                    jobs: 0,
-                    cache_hits: 0,
-                    wall: started.elapsed(),
-                    failures: Vec::new(),
-                });
-                Some(table)
-            }
-        };
+        let (table, stats) = plan.run_with(&runner);
+        if !stats.failures.is_empty() {
+            eprintln!(
+                "error: {id}: {} job(s) failed; no table written (details in {})",
+                stats.failures.len(),
+                out_dir.join("manifest.json").display()
+            );
+            io_failed = true;
+        }
+        manifest.record(&stats);
         let sim_wall = sim_started.elapsed();
         let emit_started = std::time::Instant::now();
         if let Some(table) = &table {
@@ -360,7 +310,7 @@ fn replay_main(args: &[String]) -> ExitCode {
 
 fn usage_text() -> String {
     format!(
-        "usage: repro <experiment|all> [--jobs N] [--no-cache] [--scale X] [--requests N] [--out DIR] [--trace DIR] [--check] [--max-retries N] [--timings]\n       repro fuzz [--iters N] [--seed S] [--out DIR]\n       repro replay FILE\n       repro --list\n\nexperiments: {}",
+        "usage: repro <experiment|all> [--jobs N] [--scale X] [--requests N] [--out DIR] [--trace DIR] [--check] [--timings]\n       repro fuzz [--iters N] [--seed S] [--out DIR]\n       repro replay FILE\n       repro --list\n\nexperiments: {}",
         experiments::ALL.join(" ")
     )
 }

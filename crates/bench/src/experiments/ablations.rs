@@ -52,10 +52,7 @@ pub fn plan_scheduler(opts: RunOptions) -> PlannedExperiment {
     let wl = web_workload(opts);
     let mut jobs = Vec::new();
     for (name, kind) in SCHEDULERS {
-        let spec = JobSpec::new("ablation-sched", jobs.len(), name)
-            .param("scale", opts.scale)
-            .param("scheduler", name)
-            .param("unit_kb", 64);
+        let spec = JobSpec::new("ablation-sched", jobs.len(), name);
         jobs.push(sim_job(spec, &wl, opts.mode(), move || {
             SystemConfig::segm()
                 .with_scheduler(kind)
@@ -99,10 +96,7 @@ pub fn plan_segment_replacement(opts: RunOptions) -> PlannedExperiment {
     let wl = synth_workload(opts, 4, seed);
     let mut jobs = Vec::new();
     for (name, pol) in POLICIES {
-        let spec = JobSpec::new("ablation-segrepl", jobs.len(), name)
-            .param("requests", opts.synthetic_requests)
-            .param("seed", seed)
-            .param("policy", name);
+        let spec = JobSpec::new("ablation-segrepl", jobs.len(), name);
         jobs.push(sim_job(spec, &wl, opts.mode(), move || {
             SystemConfig::segm().with_replacement(BlockReplacement::Mru, pol)
         }));
@@ -143,11 +137,7 @@ pub fn plan_block_replacement(opts: RunOptions) -> PlannedExperiment {
                 "ablation-blkrepl",
                 jobs.len(),
                 format!("file={}KB {name}", file_blocks * 4),
-            )
-            .param("requests", opts.synthetic_requests)
-            .param("file_blocks", file_blocks)
-            .param("seed", seed)
-            .param("policy", name);
+            );
             jobs.push(sim_job(spec, &wl, opts.mode(), move || {
                 SystemConfig::for_().with_replacement(blk, SegmentReplacement::Lru)
             }));
@@ -186,10 +176,7 @@ pub fn plan_segment_size(opts: RunOptions) -> PlannedExperiment {
     let wl = synth_workload(opts, 4, seed);
     let mut jobs = Vec::new();
     for seg_kb in SEG_KB {
-        let spec = JobSpec::new("ablation-segsize", jobs.len(), format!("seg={seg_kb}KB"))
-            .param("requests", opts.synthetic_requests)
-            .param("seed", seed)
-            .param("segment_kb", seg_kb);
+        let spec = JobSpec::new("ablation-segsize", jobs.len(), format!("seg={seg_kb}KB"));
         jobs.push(sim_job(spec, &wl, opts.mode(), move || {
             SystemConfig::segm().with_segment_bytes(seg_kb * 1024)
         }));
@@ -255,11 +242,7 @@ pub fn plan_coalescing(opts: RunOptions) -> PlannedExperiment {
                 "ablation-coalesce",
                 jobs.len(),
                 format!("coalesce={pct}% {name}"),
-            )
-            .param("requests", opts.synthetic_requests)
-            .param("coalesce_pct", pct)
-            .param("seed", seed)
-            .param("config", name);
+            );
             jobs.push(sim_job(spec, &wl, opts.mode(), cfg));
         }
     }
@@ -302,11 +285,7 @@ pub fn plan_zoned(opts: RunOptions) -> PlannedExperiment {
             ("segm", SystemConfig::segm as fn() -> SystemConfig),
             ("for", SystemConfig::for_),
         ] {
-            let spec = JobSpec::new("ablation-zones", jobs.len(), format!("{mode} {name}"))
-                .param("requests", opts.synthetic_requests)
-                .param("seed", seed)
-                .param("recording", mode)
-                .param("config", name);
+            let spec = JobSpec::new("ablation-zones", jobs.len(), format!("{mode} {name}"));
             jobs.push(sim_job(spec, &wl, opts.mode(), move || {
                 let c = base();
                 if zoned {
@@ -365,11 +344,7 @@ pub fn plan_mirroring(opts: RunOptions) -> PlannedExperiment {
                 "ablation-mirror",
                 jobs.len(),
                 format!("writes={pct}% {name}"),
-            )
-            .param("requests", opts.synthetic_requests)
-            .param("write_pct", pct)
-            .param("seed", seed)
-            .param("config", name);
+            );
             jobs.push(sim_job(spec, &wl, opts.mode(), move || {
                 if mirrored {
                     SystemConfig::segm().with_mirroring()
@@ -416,14 +391,10 @@ pub fn plan_flush_period(opts: RunOptions) -> PlannedExperiment {
             .with_striping_unit(64 * 1024)
     };
     let mut jobs = Vec::new();
-    let spec = JobSpec::new("ablation-flush", 0, "end-of-run")
-        .param("scale", opts.scale)
-        .param("flush_period_s", "none");
+    let spec = JobSpec::new("ablation-flush", 0, "end-of-run");
     jobs.push(sim_job(spec, &wl, opts.mode(), cfg));
     for secs in PERIODS_S {
-        let spec = JobSpec::new("ablation-flush", jobs.len(), format!("period={secs}s"))
-            .param("scale", opts.scale)
-            .param("flush_period_s", secs);
+        let spec = JobSpec::new("ablation-flush", jobs.len(), format!("period={secs}s"));
         jobs.push(sim_job(spec, &wl, opts.mode(), move || {
             cfg().with_hdc_flush_period(forhdc_sim::SimDuration::from_secs(secs))
         }));
@@ -469,24 +440,18 @@ pub fn plan_periodic_planner(opts: RunOptions) -> PlannedExperiment {
             .with_striping_unit(64 * 1024)
     };
     let mut jobs = Vec::new();
-    let spec = JobSpec::new("ablation-periodic", 0, "no-hdc")
-        .param("scale", opts.scale)
-        .param("plan", "no-hdc");
+    let spec = JobSpec::new("ablation-periodic", 0, "no-hdc");
     jobs.push(sim_job(spec, &wl, opts.mode(), || {
         SystemConfig::segm().with_striping_unit(64 * 1024)
     }));
-    let spec = JobSpec::new("ablation-periodic", 1, "perfect")
-        .param("scale", opts.scale)
-        .param("plan", "perfect");
+    let spec = JobSpec::new("ablation-periodic", 1, "perfect");
     jobs.push(sim_job(spec, &wl, opts.mode(), cfg));
     for periods in PERIODS {
         let spec = JobSpec::new(
             "ablation-periodic",
             jobs.len(),
             format!("history/{periods}"),
-        )
-        .param("scale", opts.scale)
-        .param("plan", format!("history/{periods}"));
+        );
         let wl = wl.clone();
         jobs.push(SimJob::new(spec, move || {
             // Approximate the periodic deployment: plan from the first
@@ -529,51 +494,6 @@ pub fn plan_periodic_planner(opts: RunOptions) -> PlannedExperiment {
             t
         }),
     }
-}
-
-/// Scheduler ablation on the serial path (same jobs, same assembly).
-pub fn scheduler(opts: RunOptions) -> Table {
-    plan_scheduler(opts).run_serial()
-}
-
-/// Segment-replacement ablation on the serial path.
-pub fn segment_replacement(opts: RunOptions) -> Table {
-    plan_segment_replacement(opts).run_serial()
-}
-
-/// Block-replacement ablation on the serial path.
-pub fn block_replacement(opts: RunOptions) -> Table {
-    plan_block_replacement(opts).run_serial()
-}
-
-/// Segment-size ablation on the serial path.
-pub fn segment_size(opts: RunOptions) -> Table {
-    plan_segment_size(opts).run_serial()
-}
-
-/// Coalescing ablation on the serial path.
-pub fn coalescing(opts: RunOptions) -> Table {
-    plan_coalescing(opts).run_serial()
-}
-
-/// Zoned-recording ablation on the serial path.
-pub fn zoned(opts: RunOptions) -> Table {
-    plan_zoned(opts).run_serial()
-}
-
-/// Mirroring ablation on the serial path.
-pub fn mirroring(opts: RunOptions) -> Table {
-    plan_mirroring(opts).run_serial()
-}
-
-/// Flush-period ablation on the serial path.
-pub fn flush_period(opts: RunOptions) -> Table {
-    plan_flush_period(opts).run_serial()
-}
-
-/// Periodic-planner ablation on the serial path.
-pub fn periodic_planner(opts: RunOptions) -> Table {
-    plan_periodic_planner(opts).run_serial()
 }
 
 /// Builds the "one-disk heat" workload of the cooperative ablation:
@@ -637,10 +557,7 @@ pub fn plan_cooperative(opts: RunOptions) -> PlannedExperiment {
                 "ablation-coop",
                 jobs.len(),
                 format!("{heat} {}", if coop { "coop" } else { "per-disk" }),
-            )
-            .param("requests", opts.synthetic_requests)
-            .param("heat", heat)
-            .param("coop", coop);
+            );
             let wl = wl.clone();
             jobs.push(SimJob::new(spec, move || {
                 let cfg = if coop {
@@ -677,11 +594,6 @@ pub fn plan_cooperative(opts: RunOptions) -> PlannedExperiment {
             t
         }),
     }
-}
-
-/// The cooperative ablation on the serial path.
-pub fn cooperative(opts: RunOptions) -> Table {
-    plan_cooperative(opts).run_serial()
 }
 
 /// HDC region size of the victim ablation (bytes per disk).
@@ -740,9 +652,7 @@ pub fn plan_victim(opts: RunOptions) -> PlannedExperiment {
         .iter()
         .enumerate()
         .map(|(point, &mode)| {
-            let spec = JobSpec::new("ablation-victim", point, mode.to_string())
-                .param("scale", opts.scale)
-                .param("mode", mode);
+            let spec = JobSpec::new("ablation-victim", point, mode.to_string());
             let vw = vw.clone();
             SimJob::new(spec, move || {
                 let vw = vw.get();
@@ -801,11 +711,6 @@ pub fn plan_victim(opts: RunOptions) -> PlannedExperiment {
     }
 }
 
-/// The victim ablation on the serial path.
-pub fn victim(opts: RunOptions) -> Table {
-    plan_victim(opts).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -820,7 +725,7 @@ mod tests {
 
     #[test]
     fn look_beats_fcfs() {
-        let t = scheduler(quick());
+        let t = plan_scheduler(quick()).run_serial();
         let io = |name: &str| -> f64 {
             t.rows.iter().find(|r| r[0] == name).unwrap()[1]
                 .parse()
@@ -836,13 +741,13 @@ mod tests {
 
     #[test]
     fn segment_policies_all_run() {
-        let t = segment_replacement(quick());
+        let t = plan_segment_replacement(quick()).run_serial();
         assert_eq!(t.rows.len(), 4);
     }
 
     #[test]
     fn block_replacement_has_both_policies() {
-        let t = block_replacement(quick());
+        let t = plan_block_replacement(quick()).run_serial();
         assert_eq!(t.rows.len(), 3);
         for row in &t.rows {
             let mru: f64 = row[1].parse().unwrap();
@@ -853,7 +758,7 @@ mod tests {
 
     #[test]
     fn bigger_segments_read_ahead_more() {
-        let t = segment_size(quick());
+        let t = plan_segment_size(quick()).run_serial();
         let ra: Vec<f64> = t.rows.iter().map(|r| r[3].parse().unwrap()).collect();
         assert!(
             ra[2] > ra[0],
@@ -863,7 +768,7 @@ mod tests {
 
     #[test]
     fn perfect_coalescing_does_not_save_no_ra() {
-        let t = coalescing(quick());
+        let t = plan_coalescing(quick()).run_serial();
         let last = t.rows.last().unwrap();
         let no_ra: f64 = last[2].parse().unwrap();
         let for_: f64 = last[3].parse().unwrap();
@@ -875,7 +780,7 @@ mod tests {
 
     #[test]
     fn periodic_planner_improves_with_history() {
-        let t = periodic_planner(quick());
+        let t = plan_periodic_planner(quick()).run_serial();
         assert!(t.rows.len() >= 4);
         let hit = |name: &str| -> f64 {
             t.rows.iter().find(|r| r[0] == name).unwrap()[2]

@@ -143,14 +143,7 @@ pub fn plan_faults(opts: RunOptions) -> PlannedExperiment {
                 "fig-faults",
                 jobs.len(),
                 format!("rate={} {name}", RATE_LABELS[row]),
-            )
-            .param("requests", opts.synthetic_requests)
-            .param("files", FILES)
-            .param("seed", seed)
-            .param("config", name)
-            .param("rate", RATE_LABELS[row])
-            .param("fault_seed", fault_cfg.seed)
-            .param("faulted", rate > 0.0);
+            );
             jobs.push(fault_job(spec, &wl, cfg, fault_cfg.clone(), opts.check));
         }
     }
@@ -200,7 +193,7 @@ pub fn plan_faults(opts: RunOptions) -> PlannedExperiment {
 pub fn plan_selftest_panic() -> PlannedExperiment {
     let jobs = (0..3)
         .map(|i| {
-            let spec = JobSpec::new("selftest-panic", i, format!("p{i}")).param("i", i);
+            let spec = JobSpec::new("selftest-panic", i, format!("p{i}"));
             SimJob::new(spec, move || {
                 assert!(i != 1, "selftest: job 1 panics by design");
                 JobOutput::new().metric("ok", 1.0)

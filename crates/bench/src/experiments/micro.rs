@@ -2,9 +2,9 @@
 //! sequential-read model.
 //!
 //! All three artifacts are [`PlannedExperiment`]s: jobs emit the raw
-//! quantities (exact in `f64` at simulation scale, so the result cache
-//! round-trips them bit-exactly) and all formatting happens in the
-//! assembly, keeping parallel and serial output byte-identical.
+//! quantities (exact in `f64` at simulation scale) and all formatting
+//! happens in the assembly, keeping parallel and serial output
+//! byte-identical.
 
 use forhdc_analytic::expected_sequential_run;
 use forhdc_layout::{frag::measure_runs, LayoutBuilder};
@@ -99,11 +99,6 @@ pub fn plan_table1() -> PlannedExperiment {
     }
 }
 
-/// Table 1 on the serial path.
-pub fn table1() -> Table {
-    plan_table1().run_serial()
-}
-
 /// The fragmentation grid of Figure 1 (percent).
 const FIG1_PCTS: [u32; 14] = [0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 18, 20];
 
@@ -119,9 +114,7 @@ pub fn plan_fig1() -> PlannedExperiment {
         .iter()
         .enumerate()
         .map(|(point, &pct)| {
-            let spec = JobSpec::new("fig1", point, format!("frag={pct}%"))
-                .param("pct", pct)
-                .param("files", 4000);
+            let spec = JobSpec::new("fig1", point, format!("frag={pct}%"));
             SimJob::new(spec, move || {
                 let q = pct as f64 / 100.0;
                 let mut o = JobOutput::new();
@@ -167,11 +160,6 @@ pub fn plan_fig1() -> PlannedExperiment {
     }
 }
 
-/// Figure 1 on the serial path.
-pub fn fig1() -> Table {
-    plan_fig1().run_serial()
-}
-
 /// The file sizes of the model cross-check (blocks).
 const MODEL_CHECK_SIZES: [u32; 6] = [1, 2, 4, 8, 16, 32];
 
@@ -188,9 +176,7 @@ pub fn plan_model_check(opts: crate::RunOptions) -> PlannedExperiment {
         .iter()
         .enumerate()
         .map(|(point, &file_blocks)| {
-            let spec = JobSpec::new("model-check", point, format!("file={file_blocks}blk"))
-                .param("file_blocks", file_blocks)
-                .param("requests", opts.synthetic_requests);
+            let spec = JobSpec::new("model-check", point, format!("file={file_blocks}blk"));
             SimJob::new(spec, move || {
                 let params = ServiceParams::ultrastar_36z15();
                 let pred = predict_fig3(file_blocks, 0.87, 32, &params).for_normalized();
@@ -235,18 +221,13 @@ pub fn plan_model_check(opts: crate::RunOptions) -> PlannedExperiment {
     }
 }
 
-/// The model cross-check on the serial path.
-pub fn model_check(opts: crate::RunOptions) -> Table {
-    plan_model_check(opts).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn table1_matches_paper_values() {
-        let t = table1();
+        let t = plan_table1().run_serial();
         let find = |k: &str| {
             t.rows
                 .iter()
@@ -270,7 +251,7 @@ mod tests {
 
     #[test]
     fn fig1_empirical_tracks_model() {
-        let t = fig1();
+        let t = plan_fig1().run_serial();
         // Row at 5% fragmentation: empirical within 10% of the model.
         let row = t.rows.iter().find(|r| r[0] == "5").unwrap();
         for i in (1..row.len()).step_by(2) {
@@ -282,7 +263,7 @@ mod tests {
 
     #[test]
     fn fig1_monotone_in_fragmentation() {
-        let t = fig1();
+        let t = plan_fig1().run_serial();
         let col1: Vec<f64> = t.rows.iter().map(|r| r[1].parse().unwrap()).collect();
         for w in col1.windows(2) {
             assert!(w[1] <= w[0] + 0.5, "sequential read should shrink: {w:?}");

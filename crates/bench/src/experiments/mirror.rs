@@ -150,13 +150,7 @@ pub fn plan_mirror(opts: RunOptions) -> PlannedExperiment {
                 "fig-mirror",
                 jobs.len(),
                 format!("split={} rebuild={rb_label}", policy.label()),
-            )
-            .param("requests", opts.synthetic_requests)
-            .param("files", FILES)
-            .param("seed", seed)
-            .param("split", policy.label())
-            .param("rebuild", rb_label)
-            .param("fault_seed", fault_cfg.seed);
+            );
             jobs.push(mirror_job(
                 spec,
                 &wl,

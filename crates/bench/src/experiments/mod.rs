@@ -11,7 +11,6 @@ use forhdc_workload::ServerKind;
 
 use crate::plan::PlannedExperiment;
 use crate::RunOptions;
-use crate::Table;
 
 /// Every experiment the harness knows, in paper order.
 pub const ALL: &[&str] = &[
@@ -54,13 +53,15 @@ pub const ALL: &[&str] = &[
 /// recorded the same way).
 pub const HIDDEN: &[&str] = &["selftest-panic", "selftest-violation"];
 
-/// The job-graph decomposition of `id`, when it has one.
+/// The job-graph decomposition of `id`: its independent jobs and the
+/// assembly of their outputs into the table.
 ///
-/// Every experiment now decomposes into independent jobs the runner
-/// can execute in parallel and cache; `None` is kept for forward
-/// compatibility with ids that have nothing to decompose.
-pub fn plan(id: &str, opts: RunOptions) -> Option<PlannedExperiment> {
-    Some(match id {
+/// # Panics
+///
+/// Panics on an id in neither [`ALL`] nor [`HIDDEN`] (the CLI
+/// validates first).
+pub fn plan(id: &str, opts: RunOptions) -> PlannedExperiment {
+    match id {
         "table1" => micro::plan_table1(),
         "fig1" => micro::plan_fig1(),
         "fig2" => servers::plan_fig2(opts),
@@ -93,20 +94,6 @@ pub fn plan(id: &str, opts: RunOptions) -> Option<PlannedExperiment> {
         "selftest-violation" => {
             crate::fuzz::plan_selftest_violation(std::path::PathBuf::from("results/repros"))
         }
-        _ => return None,
-    })
-}
-
-/// Runs one experiment by id on the serial path. Planned experiments
-/// execute the same jobs (in point order) and assembly as a parallel
-/// run, so the output is identical either way.
-///
-/// # Panics
-///
-/// Panics on an unknown id (the CLI validates first).
-pub fn run(id: &str, opts: RunOptions) -> Table {
-    match plan(id, opts) {
-        Some(p) => p.run_serial(),
-        None => panic!("unknown experiment: {id}"),
+        _ => panic!("unknown experiment: {id}"),
     }
 }

@@ -51,18 +51,6 @@ fn shared_workload(kind: ServerKind, opts: RunOptions) -> SharedWorkload {
     shared(move || workload(kind, opts))
 }
 
-fn server_spec(
-    id: &str,
-    point: usize,
-    label: String,
-    kind: ServerKind,
-    opts: RunOptions,
-) -> JobSpec {
-    JobSpec::new(id, point, label)
-        .param("server", kind)
-        .param("scale", opts.scale)
-}
-
 /// The log-spaced ranks Figure 2 samples.
 const FIG2_RANKS: [usize; 13] = [
     1, 2, 5, 10, 30, 100, 300, 1_000, 3_000, 10_000, 30_000, 100_000, 300_000,
@@ -78,7 +66,7 @@ pub fn plan_fig2(opts: RunOptions) -> PlannedExperiment {
         .into_iter()
         .enumerate()
         .map(|(point, kind)| {
-            let spec = server_spec("fig2", point, format!("{kind}"), kind, opts);
+            let spec = JobSpec::new("fig2", point, format!("{kind}"));
             SimJob::new(spec, move || {
                 let curve = workload(kind, opts).trace.popularity_curve(300_000);
                 let mut o = JobOutput::new()
@@ -125,11 +113,6 @@ pub fn plan_fig2(opts: RunOptions) -> PlannedExperiment {
     }
 }
 
-/// Figure 2 on the serial path.
-pub fn fig2(opts: RunOptions) -> Table {
-    plan_fig2(opts).run_serial()
-}
-
 /// Figures 7 / 9 / 11: absolute I/O time versus the striping-unit
 /// size, HDC caches = 2 MB where enabled.
 pub fn plan_striping_sweep(
@@ -151,15 +134,7 @@ pub fn plan_striping_sweep(
                 };
                 base.with_striping_unit(unit_kb * 1024)
             };
-            let job_spec = server_spec(
-                id,
-                jobs.len(),
-                format!("unit={unit_kb}KB {name}"),
-                kind,
-                opts,
-            )
-            .param("unit_kb", unit_kb)
-            .param("config", name);
+            let job_spec = JobSpec::new(id, jobs.len(), format!("unit={unit_kb}KB {name}"));
             jobs.push(sim_job(job_spec, &wl, opts.mode(), cfg));
         }
     }
@@ -216,11 +191,7 @@ pub fn plan_hdc_sweep(kind: ServerKind, id: &'static str, opts: RunOptions) -> P
                 };
                 base.with_hdc(hdc_kb as u64 * 1024).with_striping_unit(unit)
             };
-            let job_spec =
-                server_spec(id, jobs.len(), format!("hdc={hdc_kb}KB {name}"), kind, opts)
-                    .param("unit_kb", paper_unit_kb(kind))
-                    .param("hdc_kb", hdc_kb)
-                    .param("config", name);
+            let job_spec = JobSpec::new(id, jobs.len(), format!("hdc={hdc_kb}KB {name}"));
             jobs.push(sim_job(job_spec, &wl, opts.mode(), cfg));
         }
     }
@@ -260,15 +231,7 @@ pub fn plan_table2(opts: RunOptions) -> PlannedExperiment {
     const KINDS: [ServerKind; 3] = [ServerKind::Web, ServerKind::Proxy, ServerKind::File];
     let mut jobs = Vec::new();
     for kind in KINDS {
-        let job_spec = server_spec(
-            "table2",
-            jobs.len(),
-            format!("{kind} best-unit"),
-            kind,
-            opts,
-        )
-        .param("hdc", HDC)
-        .param("unit_grid", format!("{UNIT_GRID_KB:?}"));
+        let job_spec = JobSpec::new("table2", jobs.len(), format!("{kind} best-unit"));
         jobs.push(SimJob::new(job_spec, move || {
             let wl = workload(kind, opts);
             let run = |cfg: SystemConfig| run_system(System::builder(cfg, &wl), opts.check).0;
@@ -313,21 +276,6 @@ pub fn plan_table2(opts: RunOptions) -> PlannedExperiment {
     }
 }
 
-/// Figures 7 / 9 / 11 on the serial path (same jobs, same assembly).
-pub fn striping_sweep(kind: ServerKind, id: &'static str, opts: RunOptions) -> Table {
-    plan_striping_sweep(kind, id, opts).run_serial()
-}
-
-/// Figures 8 / 10 / 12 on the serial path.
-pub fn hdc_sweep(kind: ServerKind, id: &'static str, opts: RunOptions) -> Table {
-    plan_hdc_sweep(kind, id, opts).run_serial()
-}
-
-/// Table 2 on the serial path.
-pub fn table2(opts: RunOptions) -> Table {
-    plan_table2(opts).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,7 +290,7 @@ mod tests {
 
     #[test]
     fn fig2_curves_are_non_increasing() {
-        let t = fig2(quick());
+        let t = plan_fig2(quick()).run_serial();
         for col in 1..4 {
             let vals: Vec<u64> = t.rows.iter().map(|r| r[col].parse().unwrap()).collect();
             for w in vals.windows(2) {
@@ -362,7 +310,7 @@ mod tests {
 
     #[test]
     fn striping_sweep_for_wins_everywhere() {
-        let t = striping_sweep(ServerKind::Web, "fig7", quick());
+        let t = plan_striping_sweep(ServerKind::Web, "fig7", quick()).run_serial();
         for row in &t.rows {
             let segm: f64 = row[1].parse().unwrap();
             let for_: f64 = row[3].parse().unwrap();
@@ -376,7 +324,7 @@ mod tests {
 
     #[test]
     fn table2_reports_positive_combined_gains() {
-        let t = table2(quick());
+        let t = plan_table2(quick()).run_serial();
         assert_eq!(t.rows.len(), 3);
         for row in &t.rows {
             let combined: f64 = row[4].parse().unwrap();
@@ -386,7 +334,7 @@ mod tests {
 
     #[test]
     fn hdc_sweep_has_full_grid() {
-        let t = hdc_sweep(ServerKind::File, "fig12", quick());
+        let t = plan_hdc_sweep(ServerKind::File, "fig12", quick()).run_serial();
         assert_eq!(t.rows.len(), HDC_GRID_KB.len());
         // Hit rate grows with HDC memory.
         let hits: Vec<f64> = t.rows.iter().map(|r| r[3].parse().unwrap()).collect();

@@ -17,21 +17,6 @@ use crate::RunOptions;
 const FILES: usize = 20_000;
 const HDC: u64 = 2 * 1024 * 1024;
 
-fn synth_spec(
-    id: &'static str,
-    point: usize,
-    label: String,
-    opts: RunOptions,
-    seed: u64,
-    config: &str,
-) -> JobSpec {
-    JobSpec::new(id, point, label)
-        .param("requests", opts.synthetic_requests)
-        .param("files", FILES)
-        .param("seed", seed)
-        .param("config", config)
-}
-
 /// Figure 3: normalized I/O time as a function of the average file
 /// size, 128 simultaneous streams. Series: Segm (the 1.0 baseline),
 /// Block, No-RA, FOR.
@@ -56,16 +41,11 @@ pub fn plan_fig3(opts: RunOptions) -> PlannedExperiment {
                 .build()
         });
         for (name, cfg) in CONFIGS {
-            let spec = synth_spec(
+            let spec = JobSpec::new(
                 "fig3",
                 jobs.len(),
                 format!("file={}KB {name}", file_blocks * 4),
-                opts,
-                seed,
-                name,
-            )
-            .param("file_blocks", file_blocks)
-            .param("streams", 128);
+            );
             jobs.push(sim_job(spec, &wl, opts.mode(), cfg));
         }
     }
@@ -117,16 +97,7 @@ pub fn plan_fig4(opts: RunOptions) -> PlannedExperiment {
                 .build()
         });
         for (name, cfg) in CONFIGS {
-            let spec = synth_spec(
-                "fig4",
-                jobs.len(),
-                format!("streams={streams} {name}"),
-                opts,
-                seed,
-                name,
-            )
-            .param("file_blocks", 4)
-            .param("streams", streams);
+            let spec = JobSpec::new("fig4", jobs.len(), format!("streams={streams} {name}"));
             jobs.push(sim_job(spec, &wl, opts.mode(), cfg));
         }
     }
@@ -181,17 +152,7 @@ pub fn plan_fig5(opts: RunOptions) -> PlannedExperiment {
                 .build()
         });
         for (name, cfg) in CONFIGS {
-            let spec = synth_spec(
-                "fig5",
-                jobs.len(),
-                format!("alpha={alpha:.1} {name}"),
-                opts,
-                seed,
-                name,
-            )
-            .param("file_blocks", 4)
-            .param("streams", 128)
-            .param("zipf_alpha", alpha);
+            let spec = JobSpec::new("fig5", jobs.len(), format!("alpha={alpha:.1} {name}"));
             jobs.push(sim_job(spec, &wl, opts.mode(), cfg));
         }
     }
@@ -247,17 +208,7 @@ pub fn plan_fig6(opts: RunOptions) -> PlannedExperiment {
                 .build()
         });
         for (name, cfg) in CONFIGS {
-            let spec = synth_spec(
-                "fig6",
-                jobs.len(),
-                format!("writes={pct}% {name}"),
-                opts,
-                seed,
-                name,
-            )
-            .param("file_blocks", 4)
-            .param("streams", 128)
-            .param("write_pct", pct);
+            let spec = JobSpec::new("fig6", jobs.len(), format!("writes={pct}% {name}"));
             jobs.push(sim_job(spec, &wl, opts.mode(), cfg));
         }
     }
@@ -287,26 +238,6 @@ pub fn plan_fig6(opts: RunOptions) -> PlannedExperiment {
     }
 }
 
-/// Figure 3 on the serial path (same jobs, same assembly).
-pub fn fig3(opts: RunOptions) -> Table {
-    plan_fig3(opts).run_serial()
-}
-
-/// Figure 4 on the serial path.
-pub fn fig4(opts: RunOptions) -> Table {
-    plan_fig4(opts).run_serial()
-}
-
-/// Figure 5 on the serial path.
-pub fn fig5(opts: RunOptions) -> Table {
-    plan_fig5(opts).run_serial()
-}
-
-/// Figure 6 on the serial path.
-pub fn fig6(opts: RunOptions) -> Table {
-    plan_fig6(opts).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,7 +257,7 @@ mod tests {
 
     #[test]
     fn fig3_for_always_at_least_as_good() {
-        let t = fig3(quick());
+        let t = plan_fig3(quick()).run_serial();
         for (f, s) in col(&t, "for").iter().zip(col(&t, "segm")) {
             assert!(*f <= s * 1.05, "FOR {f} vs Segm {s}");
         }
@@ -334,7 +265,7 @@ mod tests {
 
     #[test]
     fn fig4_for_beats_segm_everywhere() {
-        let t = fig4(quick());
+        let t = plan_fig4(quick()).run_serial();
         for f in col(&t, "for") {
             assert!(f < 1.0, "FOR normalized {f}");
         }
@@ -344,11 +275,12 @@ mod tests {
     fn fig5_hit_rate_rises_with_alpha() {
         // Enough requests that the accessed footprint exceeds the HDC
         // capacity (otherwise every block is pinned and hits saturate).
-        let t = fig5(RunOptions {
+        let t = plan_fig5(RunOptions {
             scale: 0.02,
             synthetic_requests: 4_000,
             ..RunOptions::default()
-        });
+        })
+        .run_serial();
         let hits = col(&t, "hdc_hit_%");
         assert!(
             *hits.last().unwrap() > hits.first().unwrap() + 5.0,
@@ -358,7 +290,7 @@ mod tests {
 
     #[test]
     fn fig6_for_gain_decays_with_writes() {
-        let t = fig6(quick());
+        let t = plan_fig6(quick()).run_serial();
         let fors = col(&t, "for");
         assert!(
             fors.last().unwrap() > fors.first().unwrap(),

@@ -400,7 +400,7 @@ pub fn plan_selftest_violation(repro_dir: PathBuf) -> PlannedExperiment {
     let jobs = (0..3)
         .map(|i| {
             let dir = repro_dir.clone();
-            let spec = JobSpec::new("selftest-violation", i, format!("v{i}")).param("i", i);
+            let spec = JobSpec::new("selftest-violation", i, format!("v{i}"));
             SimJob::new(spec, move || {
                 if i == 1 {
                     let case = FuzzCase::planted();

@@ -4,22 +4,24 @@
 //! paper's evaluation (§6), shared between the `repro` and `perf`
 //! binaries.
 //!
-//! Every experiment returns a [`Table`] whose rows mirror the series
-//! the paper plots; the binary prints it and writes a CSV next to it.
+//! Every experiment is a [`PlannedExperiment`]: independent jobs plus
+//! an assembly into a [`Table`] whose rows mirror the series the paper
+//! plots; the binary prints it and writes a CSV next to it.
+//! [`experiments::plan`] maps each id to its plan.
 //!
 //! | Experiment | Paper artifact |
 //! |---|---|
-//! | [`experiments::micro::table1`] | Table 1 (simulation parameters) |
-//! | [`experiments::micro::fig1`] | Fig. 1 (sequential read vs fragmentation) |
-//! | [`experiments::servers::fig2`] | Fig. 2 (block access distribution) |
-//! | [`experiments::synthetic::fig3`] | Fig. 3 (I/O time vs file size) |
-//! | [`experiments::synthetic::fig4`] | Fig. 4 (I/O time vs streams) |
-//! | [`experiments::synthetic::fig5`] | Fig. 5 (I/O time vs Zipf α) |
-//! | [`experiments::synthetic::fig6`] | Fig. 6 (I/O time vs write %) |
-//! | [`experiments::servers::striping_sweep`] | Figs. 7 / 9 / 11 |
-//! | [`experiments::servers::hdc_sweep`] | Figs. 8 / 10 / 12 |
-//! | [`experiments::servers::table2`] | Table 2 (best-unit improvements) |
-//! | [`experiments::micro::model_check`] | analytic-vs-simulated cross-check |
+//! | [`experiments::micro::plan_table1`] | Table 1 (simulation parameters) |
+//! | [`experiments::micro::plan_fig1`] | Fig. 1 (sequential read vs fragmentation) |
+//! | [`experiments::servers::plan_fig2`] | Fig. 2 (block access distribution) |
+//! | [`experiments::synthetic::plan_fig3`] | Fig. 3 (I/O time vs file size) |
+//! | [`experiments::synthetic::plan_fig4`] | Fig. 4 (I/O time vs streams) |
+//! | [`experiments::synthetic::plan_fig5`] | Fig. 5 (I/O time vs Zipf α) |
+//! | [`experiments::synthetic::plan_fig6`] | Fig. 6 (I/O time vs write %) |
+//! | [`experiments::servers::plan_striping_sweep`] | Figs. 7 / 9 / 11 |
+//! | [`experiments::servers::plan_hdc_sweep`] | Figs. 8 / 10 / 12 |
+//! | [`experiments::servers::plan_table2`] | Table 2 (best-unit improvements) |
+//! | [`experiments::micro::plan_model_check`] | analytic-vs-simulated cross-check |
 //! | [`experiments::ablations`] | ten design-choice ablations (DESIGN.md §8) |
 
 pub mod experiments;

@@ -22,8 +22,8 @@ use forhdc_workload::Workload;
 
 use crate::Table;
 
-/// A workload built at most once and shared by the jobs that need it.
-/// If every consumer hits the result cache it is never generated.
+/// A workload built at most once, by the first job that reads it, and
+/// shared by the jobs that need it.
 pub type SharedWorkload = Arc<Lazy<Workload>>;
 
 /// Wraps a workload builder for sharing between jobs.
@@ -55,10 +55,10 @@ impl PlannedExperiment {
         (self.assemble)(&outputs)
     }
 
-    /// Executes the jobs on `runner` (parallel and/or cached) and
-    /// assembles. The table is identical to [`Self::run_serial`]'s.
+    /// Executes the jobs on `runner`'s pool and assembles. The table is
+    /// identical to [`Self::run_serial`]'s.
     ///
-    /// When any job failed (panicked past its retry budget), there is
+    /// When any job failed (panicked), there is
     /// nothing sound to assemble — a partial table would be silently
     /// wrong — so the table is `None` and the failure records are in
     /// the stats.
@@ -85,7 +85,7 @@ impl std::fmt::Debug for PlannedExperiment {
 /// The standard extraction from a [`Report`] into flat job metrics.
 ///
 /// Counts and durations are exact in `f64` at simulation scale
-/// (all values ≪ 2^53), so the cache round-trips them bit-exactly.
+/// (all values ≪ 2^53).
 pub fn report_metrics(r: &Report) -> JobOutput {
     JobOutput::new()
         .metric("io_ns", r.io_time.as_nanos() as f64)

@@ -115,7 +115,7 @@ fn checked_mode_output_is_byte_identical() {
     let checked = tmpdir("checked");
     for (dir, extra) in [(&plain, None), (&checked, Some("--check"))] {
         let mut cmd = repro();
-        cmd.args(["fig4", "--requests", "200", "--scale", "0.02", "--no-cache"])
+        cmd.args(["fig4", "--requests", "200", "--scale", "0.02"])
             .arg("--out")
             .arg(dir);
         if let Some(flag) = extra {

@@ -6,7 +6,7 @@
 //! Regenerate the goldens after an intentional format change with
 //! `BLESS=1 cargo test -p forhdc-bench --test manifest_golden`.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Duration;
 
 use forhdc_runner::{
@@ -14,35 +14,31 @@ use forhdc_runner::{
 };
 
 /// A manifest with every entry shape: a traced sweep with a phase
-/// breakdown, an untraced sweep with cache hits, a legacy serial
-/// experiment, and a sweep with a recorded job failure.
+/// breakdown, untraced sweeps, and a sweep with a recorded job
+/// failure.
 fn build_manifest() -> RunManifest {
-    let mut m = RunManifest::new(3, Some(Path::new("results/.cache")));
+    let mut m = RunManifest::new(3);
     m.record(&ExperimentStats {
         id: "fig3".to_string(),
         jobs: 44,
-        cache_hits: 0,
         wall: Duration::from_millis(2_500),
         failures: Vec::new(),
     });
     m.record(&ExperimentStats {
         id: "fig7".to_string(),
         jobs: 32,
-        cache_hits: 32,
         wall: Duration::from_millis(40),
         failures: Vec::new(),
     });
     m.record(&ExperimentStats {
         id: "table1".to_string(),
-        jobs: 0,
-        cache_hits: 0,
+        jobs: 1,
         wall: Duration::from_millis(100),
         failures: Vec::new(),
     });
     m.record(&ExperimentStats {
         id: "selftest-panic".to_string(),
         jobs: 3,
-        cache_hits: 0,
         wall: Duration::from_millis(5),
         failures: vec![JobFailure {
             point: 1,

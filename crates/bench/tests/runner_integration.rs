@@ -1,7 +1,6 @@
 //! Cross-crate integration: forhdc-bench experiment plans executed by
 //! the forhdc-runner pool must reproduce the serial output byte for
-//! byte, and the result cache must make re-runs free without changing
-//! a byte either.
+//! byte.
 
 use std::path::PathBuf;
 
@@ -28,13 +27,9 @@ fn tmpdir(tag: &str) -> PathBuf {
 #[test]
 fn parallel_tables_are_byte_identical_to_serial() {
     for id in ["fig4", "fig8"] {
-        let serial = experiments::plan(id, quick())
-            .expect("sweep has a plan")
-            .run_serial();
+        let serial = experiments::plan(id, quick()).run_serial();
         let runner = Runner::new(4).quiet(true);
-        let (parallel, stats) = experiments::plan(id, quick())
-            .expect("plan")
-            .run_with(&runner);
+        let (parallel, stats) = experiments::plan(id, quick()).run_with(&runner);
         assert!(stats.jobs > 1, "{id} must decompose into multiple jobs");
         assert_eq!(
             serial.to_csv(),
@@ -44,62 +39,20 @@ fn parallel_tables_are_byte_identical_to_serial() {
     }
 }
 
-/// A second run over a warm cache must execute zero jobs and still
-/// produce byte-identical output.
+/// `repro` runs every experiment through its plan, so every id it
+/// accepts, listed or hidden, must plan at least one job under the
+/// id it was asked for.
 #[test]
-fn cached_rerun_is_free_and_identical() {
-    let dir = tmpdir("cache");
-    let id = "fig4";
-
-    let cold = Runner::new(4).quiet(true).cache_dir(&dir);
-    let (first, first_stats) = experiments::plan(id, quick())
-        .expect("plan")
-        .run_with(&cold);
-    let first = first.expect("no failures");
-    assert_eq!(first_stats.cache_hits, 0, "cold cache must miss everywhere");
-
-    let warm = Runner::new(4).quiet(true).cache_dir(&dir);
-    let (second, second_stats) = experiments::plan(id, quick())
-        .expect("plan")
-        .run_with(&warm);
-    let second = second.expect("no failures");
-    assert_eq!(
-        second_stats.cache_hits, second_stats.jobs,
-        "warm cache must hit on every job"
-    );
-    assert_eq!(
-        first.to_csv(),
-        second.to_csv(),
-        "cached output must be byte-identical"
-    );
-
-    // Different options must not hit the same entries.
-    let other_opts = RunOptions {
-        scale: 0.02,
-        synthetic_requests: 301,
-        ..RunOptions::default()
-    };
-    let third = Runner::new(1).quiet(true).cache_dir(&dir);
-    let (_, third_stats) = experiments::plan(id, other_opts)
-        .expect("plan")
-        .run_with(&third);
-    assert_eq!(
-        third_stats.cache_hits, 0,
-        "changed options must miss the cache"
-    );
-}
-
-/// `experiments::run` (the serial entry point used by tests and the
-/// legacy path) agrees with a planned parallel run for a planned id.
-#[test]
-fn run_and_plan_agree() {
-    let id = "ablation-zones";
-    let via_run = experiments::run(id, quick());
-    let runner = Runner::new(3).quiet(true);
-    let (via_plan, _) = experiments::plan(id, quick())
-        .expect("plan")
-        .run_with(&runner);
-    assert_eq!(via_run.to_csv(), via_plan.expect("no failures").to_csv());
+fn every_experiment_id_has_a_plan_with_jobs() {
+    for &id in experiments::ALL.iter().chain(experiments::HIDDEN) {
+        let plan = experiments::plan(id, quick());
+        assert_eq!(plan.id, id);
+        assert!(!plan.jobs.is_empty(), "{id} plans no jobs");
+        for (point, job) in plan.jobs.iter().enumerate() {
+            assert_eq!(job.spec.experiment, id, "{id} job {point}");
+            assert_eq!(job.spec.point, point, "{id} job {point}");
+        }
+    }
 }
 
 mod cli {
@@ -182,7 +135,7 @@ mod cli {
     fn selftest_panic_records_failure_and_exits_nonzero() {
         let out_dir = super::tmpdir("cli_selftest");
         let out = repro()
-            .args(["selftest-panic", "--jobs", "2", "--no-cache"])
+            .args(["selftest-panic", "--jobs", "2"])
             .arg("--out")
             .arg(&out_dir)
             .output()

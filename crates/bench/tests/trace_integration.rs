@@ -36,16 +36,10 @@ fn traced_runs_match_untraced_and_are_deterministic_across_jobs() {
     let d1 = tmpdir("serial");
     let d2 = tmpdir("parallel");
 
-    let untraced = experiments::plan(id, quick(None))
-        .expect("fig3 has a plan")
-        .run_serial();
-    let serial = experiments::plan(id, quick(Some(leak(&d1))))
-        .expect("plan")
-        .run_serial();
+    let untraced = experiments::plan(id, quick(None)).run_serial();
+    let serial = experiments::plan(id, quick(Some(leak(&d1)))).run_serial();
     let runner = Runner::new(2).quiet(true);
-    let (parallel, stats) = experiments::plan(id, quick(Some(leak(&d2))))
-        .expect("plan")
-        .run_with(&runner);
+    let (parallel, stats) = experiments::plan(id, quick(Some(leak(&d2)))).run_with(&runner);
     let parallel = parallel.expect("no failures");
     assert!(stats.jobs > 1, "{id} must decompose into multiple jobs");
 

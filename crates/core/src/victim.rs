@@ -133,9 +133,8 @@ pub fn build_victim_workload(
     assert!(cfg.streams > 0, "need at least one stream");
     let mut cache = TrackingLru::default();
     let mut stats = VictimBuildStats::default();
-    // Jobs are closed by length, the next `n` requests after the last
-    // boundary: a write-back in the middle of an access closes a
-    // one-request job at the first request not yet in a job.
+    // One job per access; a write-back in the middle of an access
+    // closes the access's open job and is a job of its own.
     let mut requests = TraceBuilder::default();
     let mut commands: HashMap<u64, Vec<HdcCommand>> = HashMap::new();
     // Host-side view of what is pinned where.
@@ -149,14 +148,12 @@ pub fn build_victim_workload(
 
     for acc in accesses {
         let mut miss_run: Option<(LogicalBlock, u32)> = None;
-        let mut job_requests = 0u32;
         // `pending_before` applies before the next request issues
         // (eviction pins); `pending_after` applies after it (promotion
         // unpins — the promoted block must still be pinned when its
         // read arrives).
         let flush_run = |run: &mut Option<(LogicalBlock, u32)>,
                          requests: &mut TraceBuilder,
-                         job_requests: &mut u32,
                          commands: &mut HashMap<u64, Vec<HdcCommand>>,
                          pending_before: &mut Vec<HdcCommand>,
                          pending_after: &mut Vec<HdcCommand>,
@@ -179,7 +176,6 @@ pub fn build_victim_workload(
                         .or_default()
                         .append(pending_after);
                 }
-                *job_requests += 1;
             }
         };
         for i in 0..acc.nblocks as u64 {
@@ -194,7 +190,6 @@ pub fn build_victim_workload(
                 flush_run(
                     &mut miss_run,
                     &mut requests,
-                    &mut job_requests,
                     &mut commands,
                     &mut pending_cmds,
                     &mut pending_after,
@@ -210,7 +205,6 @@ pub fn build_victim_workload(
                         flush_run(
                             &mut miss_run,
                             &mut requests,
-                            &mut job_requests,
                             &mut commands,
                             &mut pending_cmds,
                             &mut pending_after,
@@ -237,6 +231,7 @@ pub fn build_victim_workload(
                 if victim_dirty {
                     // Dirty data must reach the media: a write-back
                     // request of its own job.
+                    requests.end_job();
                     if !pending_cmds.is_empty() {
                         commands
                             .entry(requests.len() as u64)
@@ -248,7 +243,7 @@ pub fn build_victim_workload(
                         nblocks: 1,
                         kind: ReadWrite::Write,
                     });
-                    requests.close_job(1);
+                    requests.end_job();
                     stats.writebacks += 1;
                 } else if cfg.hdc_blocks_per_disk > 0 && !pinned.contains_key(&victim) {
                     // Clean eviction: pin into the victim cache,
@@ -272,15 +267,12 @@ pub fn build_victim_workload(
         flush_run(
             &mut miss_run,
             &mut requests,
-            &mut job_requests,
             &mut commands,
             &mut pending_cmds,
             &mut pending_after,
             acc.kind,
         );
-        if job_requests > 0 {
-            requests.close_job(job_requests as usize);
-        }
+        requests.end_job();
     }
     stats.buffer_hit_rate = if demand == 0 {
         0.0
@@ -358,6 +350,60 @@ mod tests {
             .filter(|r| r.kind.is_write())
             .count();
         assert!(writes >= 4);
+    }
+
+    /// A write-back is its own job: closed-loop streams issue a job's
+    /// requests together, so a write-back folded into an access's job
+    /// (or an access split around one) replays the wrong groups. Every
+    /// request of an access lies in the accessed file, so a job that
+    /// spans two files or mixes reads with writes holds a write-back
+    /// that is not alone.
+    #[test]
+    fn writebacks_are_jobs_of_their_own() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let files = 3_000u32;
+        let layout = LayoutBuilder::new()
+            .fragmentation(0.2)
+            .seed(7)
+            .build(&vec![6; files as usize]);
+        let mut rng = StdRng::seed_from_u64(8);
+        let accesses: Vec<FileAccess> = (0..6_000)
+            .map(|i| {
+                let file = rng.gen_range(0..files);
+                if rng.gen_bool(0.3) {
+                    write(i, file, 0, 6)
+                } else {
+                    read(i, file, 0, 6)
+                }
+            })
+            .collect();
+        let cfg = VictimConfig {
+            buffer_blocks: 500,
+            hdc_blocks_per_disk: 64,
+            striping: StripingMap::new(8, 32),
+            streams: 32,
+        };
+        let out = build_victim_workload(&accesses, &layout, cfg);
+        assert!(out.stats.writebacks > 0, "{:?}", out.stats);
+
+        let trace = &out.workload.trace;
+        let mut bad = 0;
+        for job in trace.jobs() {
+            let file = |r: &TraceRequest| layout.owner(r.start).expect("allocated").file;
+            let mixed_kinds = job.iter().any(|r| r.kind != job[0].kind);
+            let mixed_files = job.iter().any(|r| file(r) != file(&job[0]));
+            if mixed_kinds || mixed_files {
+                bad += 1;
+            }
+        }
+        assert_eq!(
+            bad,
+            0,
+            "{bad} of {} jobs hold a write-back next to other requests",
+            trace.job_count()
+        );
     }
 
     #[test]

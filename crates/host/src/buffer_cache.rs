@@ -1,10 +1,12 @@
-//! An LRU file-system buffer cache with per-block miss accounting.
+//! An LRU file-system buffer cache with hit and miss totals.
 //!
 //! The buffer cache is what makes disk-controller caches so peculiar:
 //! any block with temporal locality is absorbed here, so the accesses
 //! that reach the disk have almost none (§2.1). HDC inverts this:
 //! the host *knows* which blocks keep missing in this cache, and pins
-//! exactly those in the controller memories (§5).
+//! exactly those in the controller memories (§5). The HDC planners
+//! count those misses from the disk-level trace this cache derives
+//! (`Trace::block_access_counts`).
 //!
 //! Recency is one slab-backed intrusive LRU list
 //! ([`forhdc_cache::list`]): every access, install, and eviction is
@@ -55,7 +57,6 @@ pub struct BufferCache {
     /// Head = most recently used; tail = eviction victim.
     lru: List,
     capacity: u64,
-    miss_counts: FxHashMap<LogicalBlock, u32>,
     hits: u64,
     misses: u64,
 }
@@ -75,9 +76,6 @@ impl BufferCache {
             nodes: Slab::with_capacity(presize),
             lru: List::new(),
             capacity,
-            // The miss map grows with the workload footprint, not the
-            // cache; a floor avoids the early doubling churn.
-            miss_counts: fx_map_with_capacity(presize.max(1024)),
             hits: 0,
             misses: 0,
         }
@@ -106,7 +104,7 @@ impl BufferCache {
     }
 
     /// Accesses one block; on a miss the block is brought in (evicting
-    /// the LRU block if needed) and the block's miss count increments.
+    /// the LRU block if needed) and the miss total increments.
     /// Reads and writes are treated alike for residency (a write miss
     /// allocates), which matches the paper's logs containing both.
     pub fn access(&mut self, block: LogicalBlock, kind: ReadWrite) -> BufferAccess {
@@ -117,7 +115,6 @@ impl BufferCache {
             return BufferAccess::Hit;
         }
         self.misses += 1;
-        *self.miss_counts.entry(block).or_insert(0) += 1;
         self.insert_new(block);
         BufferAccess::Miss
     }
@@ -205,16 +202,6 @@ impl BufferCache {
             self.hits as f64 / total as f64
         }
     }
-
-    /// The `top` blocks by miss count, descending (ties by block
-    /// number, deterministic) — the HDC planner's raw input.
-    pub fn top_missing_blocks(&self, top: usize) -> Vec<(LogicalBlock, u32)> {
-        let mut v: Vec<(LogicalBlock, u32)> =
-            self.miss_counts.iter().map(|(&b, &c)| (b, c)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(top);
-        v
-    }
 }
 
 #[cfg(test)]
@@ -243,9 +230,6 @@ mod tests {
         c.access(b(1), ReadWrite::Read); // miss
         c.access(b(2), ReadWrite::Read); // miss, evicts 1
         c.access(b(1), ReadWrite::Read); // miss again
-        let top = c.top_missing_blocks(10);
-        assert_eq!(top[0], (b(1), 2));
-        assert_eq!(top[1], (b(2), 1));
         assert_eq!(c.misses(), 3);
         assert_eq!(c.hits(), 0);
     }

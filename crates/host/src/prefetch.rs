@@ -77,16 +77,6 @@ impl SequentialPrefetcher {
         entry.next_offset = offset + 1;
         entry.window
     }
-
-    /// Forgets per-file state (e.g. on file close).
-    pub fn forget(&mut self, file: FileId) {
-        self.state.remove(&file);
-    }
-
-    /// Number of files with live prefetch state.
-    pub fn tracked_files(&self) -> usize {
-        self.state.len()
-    }
 }
 
 #[cfg(test)]
@@ -124,16 +114,6 @@ mod tests {
         p.on_access(f(0), 1);
         assert_eq!(p.on_access(f(1), 0), 1);
         assert_eq!(p.on_access(f(0), 2), 4);
-        assert_eq!(p.tracked_files(), 2);
-    }
-
-    #[test]
-    fn forget_resets_file() {
-        let mut p = SequentialPrefetcher::new(8);
-        p.on_access(f(0), 0);
-        p.on_access(f(0), 1);
-        p.forget(f(0));
-        assert_eq!(p.on_access(f(0), 2), 1); // treated as first access
     }
 
     #[test]

@@ -28,7 +28,7 @@ use forhdc_workload::{Trace, TraceRequest};
 /// let mut d = StreamDriver::new(&trace, 1);
 /// let (s, _first) = d.start().pop().unwrap();
 /// let (_, _second) = d.complete(s).unwrap(); // same job continues
-/// assert_eq!(d.pending_jobs(), 1);
+/// assert_eq!(d.issued(), 2);
 /// ```
 #[derive(Debug)]
 pub struct StreamDriver {
@@ -117,11 +117,6 @@ impl StreamDriver {
         Some((stream, req))
     }
 
-    /// Jobs not yet started.
-    pub fn pending_jobs(&self) -> usize {
-        self.job_count - self.next_job
-    }
-
     /// Requests currently being serviced.
     pub fn in_flight(&self) -> u32 {
         self.in_flight
@@ -181,7 +176,15 @@ mod tests {
         let batch = d.start();
         assert_eq!(batch.len(), 4);
         assert_eq!(d.in_flight(), 4);
-        assert_eq!(d.pending_jobs(), 6);
+        // The other 6 jobs wait for a stream to free up.
+        let mut rest = 0;
+        for (s, _) in batch {
+            while d.complete(s).is_some() {
+                rest += 1;
+            }
+        }
+        assert_eq!(rest, 6);
+        assert!(d.is_done());
     }
 
     #[test]

@@ -1,24 +1,11 @@
 //! The job model: one [`SimJob`] per independent simulation point.
 //!
-//! A job is a canonical, hashable [`JobSpec`] (the cache key and the
-//! progress label) plus a closure producing a [`JobOutput`] — a flat
-//! list of named `f64` metrics extracted from the simulation's
-//! `Report`. Keeping outputs flat and numeric makes them cacheable in
-//! a plain text format with **bit-exact** round-tripping, which is
-//! what lets a cached run reassemble byte-identical tables.
+//! A job is a [`JobSpec`] (where the point sits in its experiment,
+//! and its progress label) plus a closure producing a [`JobOutput`] —
+//! a flat list of named `f64` metrics extracted from the simulation's
+//! `Report`. Assembly turns the outputs, in point order, into a table.
 
-use crate::hash::Fnv1a;
-
-/// Cache-format / job-model version: bump when the spec encoding or
-/// metric extraction changes meaning, so stale cache entries miss.
-pub const JOB_MODEL_VERSION: u32 = 3;
-
-/// Canonical description of one simulation point.
-///
-/// Everything that affects the job's output must be captured in the
-/// parameter list (workload spec, system configuration, request
-/// counts, seeds, code salt); the fingerprint over it keys the result
-/// cache.
+/// Where one simulation point sits in its experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
     /// Owning experiment id, e.g. `fig7`.
@@ -27,48 +14,16 @@ pub struct JobSpec {
     pub point: usize,
     /// Human-readable label for progress lines, e.g. `unit=64 for_hdc`.
     pub label: String,
-    /// Canonical `key = value` parameters, in insertion order.
-    pub params: Vec<(String, String)>,
 }
 
 impl JobSpec {
-    /// Starts a spec for `point` of `experiment`.
+    /// A spec for `point` of `experiment`.
     pub fn new(experiment: impl Into<String>, point: usize, label: impl Into<String>) -> Self {
         JobSpec {
             experiment: experiment.into(),
             point,
             label: label.into(),
-            params: Vec::new(),
         }
-    }
-
-    /// Appends one parameter (builder style).
-    pub fn param(mut self, key: impl Into<String>, value: impl ToString) -> Self {
-        self.params.push((key.into(), value.to_string()));
-        self
-    }
-
-    /// The canonical single-line-per-field encoding hashed for the
-    /// cache key and echoed into cache entries for verification.
-    pub fn canonical(&self) -> String {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('\n', "\\n");
-        let mut out = String::new();
-        out.push_str(&format!("experiment {}\n", esc(&self.experiment)));
-        out.push_str(&format!("point {}\n", self.point));
-        out.push_str(&format!("label {}\n", esc(&self.label)));
-        for (k, v) in &self.params {
-            out.push_str(&format!("param {} = {}\n", esc(k), esc(v)));
-        }
-        out
-    }
-
-    /// Stable content hash of the spec (FNV-1a over the canonical
-    /// encoding, salted with [`JOB_MODEL_VERSION`]).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_field(&JOB_MODEL_VERSION.to_le_bytes());
-        h.write_field(self.canonical().as_bytes());
-        h.finish()
     }
 }
 
@@ -144,10 +99,9 @@ impl JobOutput {
 ///
 /// The closure must be a **pure function of the spec**: same spec,
 /// same output, regardless of worker, ordering, or repetition. The
-/// runner relies on this for cache correctness and byte-identical
-/// parallel reassembly.
+/// runner relies on this for byte-identical parallel reassembly.
 pub struct SimJob {
-    /// The job's canonical description / cache key.
+    /// The job's place in its experiment.
     pub spec: JobSpec,
     /// Computes the job (single-threaded inside).
     pub run: Box<dyn Fn() -> JobOutput + Send + Sync>,
@@ -174,29 +128,6 @@ impl std::fmt::Debug for SimJob {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fingerprint_covers_every_field() {
-        let base = JobSpec::new("fig7", 3, "unit=64").param("unit_kb", 64);
-        let same = JobSpec::new("fig7", 3, "unit=64").param("unit_kb", 64);
-        assert_eq!(base.fingerprint(), same.fingerprint());
-        for other in [
-            JobSpec::new("fig9", 3, "unit=64").param("unit_kb", 64),
-            JobSpec::new("fig7", 4, "unit=64").param("unit_kb", 64),
-            JobSpec::new("fig7", 3, "unit=96").param("unit_kb", 64),
-            JobSpec::new("fig7", 3, "unit=64").param("unit_kb", 96),
-            JobSpec::new("fig7", 3, "unit=64"),
-        ] {
-            assert_ne!(base.fingerprint(), other.fingerprint(), "{other:?}");
-        }
-    }
-
-    #[test]
-    fn canonical_escapes_newlines() {
-        let tricky = JobSpec::new("x", 0, "a\nb").param("k\n", "v\\");
-        let c = tricky.canonical();
-        assert_eq!(c.lines().count(), 4, "{c:?}");
-    }
 
     #[test]
     fn output_round_trip_and_lookup() {

@@ -7,23 +7,17 @@
 //! a serial run's. Each job stays single-threaded inside, preserving
 //! the simulator's determinism contract (DESIGN.md §6).
 //!
-//! On top of the pool:
-//!
-//! * a **content-hash result cache** ([`ResultCache`], default
-//!   `results/.cache/`) keyed by the canonical [`JobSpec`], which makes
-//!   `repro all` resumable after interruption and incremental across
-//!   code-neutral re-runs;
-//! * an **observability layer**: live per-job progress lines (stderr),
-//!   per-experiment wall-clock / job-count / cache-hit stats
-//!   ([`ExperimentStats`]), and a machine-readable run manifest
-//!   ([`RunManifest`], `results/manifest.json`).
+//! On top of the pool sits an **observability layer**: live per-job
+//! progress lines (stderr), per-experiment wall-clock / job-count /
+//! failure stats ([`ExperimentStats`]), and a machine-readable run
+//! manifest ([`RunManifest`], `results/manifest.json`).
 //!
 //! ```
 //! use forhdc_runner::{JobOutput, JobSpec, Runner, SimJob};
 //!
 //! let jobs: Vec<SimJob> = (0..4)
 //!     .map(|i| {
-//!         let spec = JobSpec::new("demo", i, format!("point{i}")).param("x", i);
+//!         let spec = JobSpec::new("demo", i, format!("point{i}"));
 //!         SimJob::new(spec, move || {
 //!             let mut out = JobOutput::new();
 //!             out.push("square", (i * i) as f64);
@@ -35,15 +29,12 @@
 //! assert_eq!(run.outputs[3].get("square"), 9.0);
 //! ```
 
-pub mod cache;
-pub mod hash;
 pub mod job;
 pub mod lazy;
 pub mod manifest;
 pub mod pool;
 pub mod seed;
 
-pub use cache::ResultCache;
 pub use job::{JobOutput, JobSpec, SimJob};
 pub use lazy::Lazy;
 pub use manifest::{ManifestEntry, PhaseTimings, RunManifest, TracePhase, TraceSummary};

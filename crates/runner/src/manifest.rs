@@ -1,8 +1,7 @@
 //! Machine-readable run manifest (`results/manifest.json`).
 //!
-//! Records what a `repro` invocation did: worker count, cache
-//! location, and per-experiment wall-clock / job-count / cache-hit
-//! statistics. Hand-rolled JSON writer — the workspace builds fully
+//! Records what a `repro` invocation did: worker count and
+//! per-experiment wall-clock / job-count / failure statistics. Hand-rolled JSON writer — the workspace builds fully
 //! offline, so no serde.
 
 use std::io;
@@ -62,10 +61,8 @@ pub struct PhaseTimings {
 pub struct ManifestEntry {
     /// Experiment id.
     pub id: String,
-    /// Total jobs (0 for experiments run on the legacy serial path).
+    /// Total jobs.
     pub jobs: usize,
-    /// Jobs served from the result cache.
-    pub cache_hits: usize,
     /// Wall-clock time for the experiment.
     pub wall: Duration,
     /// Per-phase wall-clock breakdown, when the caller measured one.
@@ -80,19 +77,16 @@ pub struct ManifestEntry {
 #[derive(Debug)]
 pub struct RunManifest {
     jobs: usize,
-    cache_dir: Option<String>,
     started_unix: u64,
     started: Instant,
     entries: Vec<ManifestEntry>,
 }
 
 impl RunManifest {
-    /// Starts a manifest for a run with `jobs` workers and the given
-    /// cache directory (`None` when caching is disabled).
-    pub fn new(jobs: usize, cache_dir: Option<&Path>) -> Self {
+    /// Starts a manifest for a run with `jobs` workers.
+    pub fn new(jobs: usize) -> Self {
         RunManifest {
             jobs,
-            cache_dir: cache_dir.map(|p| p.display().to_string()),
             started_unix: SystemTime::now()
                 .duration_since(UNIX_EPOCH)
                 .map(|d| d.as_secs())
@@ -107,7 +101,6 @@ impl RunManifest {
         self.entries.push(ManifestEntry {
             id: stats.id.clone(),
             jobs: stats.jobs,
-            cache_hits: stats.cache_hits,
             wall: stats.wall,
             phases: None,
             trace: None,
@@ -153,12 +146,8 @@ impl RunManifest {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        s.push_str("  \"version\": 3,\n");
+        s.push_str("  \"version\": 4,\n");
         s.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        match &self.cache_dir {
-            Some(dir) => s.push_str(&format!("  \"cache\": \"{}\",\n", escape(dir))),
-            None => s.push_str("  \"cache\": null,\n"),
-        }
         s.push_str(&format!("  \"started_unix\": {},\n", self.started_unix));
         s.push_str(&format!(
             "  \"wall_secs\": {:.3},\n",
@@ -170,10 +159,9 @@ impl RunManifest {
                 s.push(',');
             }
             s.push_str(&format!(
-                "\n    {{\"id\": \"{}\", \"jobs\": {}, \"cache_hits\": {}, \"wall_secs\": {:.3}",
+                "\n    {{\"id\": \"{}\", \"jobs\": {}, \"wall_secs\": {:.3}",
                 escape(&e.id),
                 e.jobs,
-                e.cache_hits,
                 e.wall.as_secs_f64()
             ));
             if !e.failures.is_empty() {
@@ -230,23 +218,18 @@ impl RunManifest {
     }
 
     /// Renders a fixed-width per-experiment timing summary (the
-    /// `repro --timings` table): jobs, cache hits, wall time, and —
+    /// `repro --timings` table): jobs, wall time, and —
     /// when measured — the plan/sim/emit phase breakdown, per
     /// experiment with a closing total.
     pub fn timings_table(&self) -> String {
         let mut s = String::new();
         s.push_str(&format!(
-            "{:<24} {:>7} {:>9} {:>9} {:>8} {:>8} {:>8}\n",
-            "experiment", "jobs", "cached", "wall", "plan", "sim", "emit"
+            "{:<24} {:>7} {:>9} {:>8} {:>8} {:>8}\n",
+            "experiment", "jobs", "wall", "plan", "sim", "emit"
         ));
         let mut total = Duration::ZERO;
         for e in &self.entries {
             total += e.wall;
-            let (jobs, cached) = if e.jobs == 0 {
-                ("serial".to_string(), "-".to_string())
-            } else {
-                (e.jobs.to_string(), format!("{}/{}", e.cache_hits, e.jobs))
-            };
             let phases = match &e.phases {
                 Some(p) => format!(
                     "{:>7.1}s {:>7.1}s {:>7.1}s",
@@ -257,17 +240,15 @@ impl RunManifest {
                 None => format!("{:>8} {:>8} {:>8}", "-", "-", "-"),
             };
             s.push_str(&format!(
-                "{:<24} {:>7} {:>9} {:>8.1}s {phases}\n",
+                "{:<24} {:>7} {:>8.1}s {phases}\n",
                 e.id,
-                jobs,
-                cached,
+                e.jobs,
                 e.wall.as_secs_f64()
             ));
         }
         s.push_str(&format!(
-            "{:<24} {:>7} {:>9} {:>8.1}s\n",
+            "{:<24} {:>7} {:>8.1}s\n",
             "total",
-            "",
             "",
             total.as_secs_f64()
         ));
@@ -307,11 +288,10 @@ fn escape(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn stats(id: &str, jobs: usize, hits: usize) -> ExperimentStats {
+    fn stats(id: &str, jobs: usize) -> ExperimentStats {
         ExperimentStats {
             id: id.to_string(),
             jobs,
-            cache_hits: hits,
             wall: Duration::from_millis(1500),
             failures: Vec::new(),
         }
@@ -319,17 +299,14 @@ mod tests {
 
     #[test]
     fn json_shape() {
-        let mut m = RunManifest::new(4, Some(Path::new("results/.cache")));
-        m.record(&stats("fig3", 32, 0));
-        m.record(&stats("fig7", 40, 40));
+        let mut m = RunManifest::new(4);
+        m.record(&stats("fig3", 32));
+        m.record(&stats("fig7", 40));
         let json = m.to_json();
-        assert!(json.contains("\"version\": 3"), "{json}");
+        assert!(json.contains("\"version\": 4"), "{json}");
         assert!(json.contains("\"jobs\": 4"), "{json}");
-        assert!(json.contains("\"cache\": \"results/.cache\""), "{json}");
         assert!(
-            json.contains(
-                "{\"id\": \"fig3\", \"jobs\": 32, \"cache_hits\": 0, \"wall_secs\": 1.500}"
-            ),
+            json.contains("{\"id\": \"fig3\", \"jobs\": 32, \"wall_secs\": 1.500}"),
             "{json}"
         );
         assert!(json.contains("\"id\": \"fig7\""), "{json}");
@@ -338,18 +315,15 @@ mod tests {
 
     #[test]
     fn timings_table_shape() {
-        let mut m = RunManifest::new(4, None);
-        m.record(&stats("fig3", 32, 8));
-        m.record(&stats("table1", 0, 0)); // legacy serial path
+        let mut m = RunManifest::new(4);
+        m.record(&stats("fig3", 32));
+        m.record(&stats("table1", 1));
         let t = m.timings_table();
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines.len(), 4, "{t}");
         assert!(lines[0].starts_with("experiment"), "{t}");
-        assert!(
-            lines[1].contains("fig3") && lines[1].contains("8/32"),
-            "{t}"
-        );
-        assert!(lines[2].contains("serial") && lines[2].contains('-'), "{t}");
+        assert!(lines[1].contains("fig3") && lines[1].contains("32"), "{t}");
+        assert!(lines[2].contains("table1") && lines[2].contains('1'), "{t}");
         assert!(
             lines[3].contains("total") && lines[3].contains("3.0s"),
             "{t}"
@@ -364,8 +338,8 @@ mod tests {
 
     #[test]
     fn attach_phases_fills_breakdown_columns() {
-        let mut m = RunManifest::new(4, None);
-        m.record(&stats("fig3", 32, 8));
+        let mut m = RunManifest::new(4);
+        m.record(&stats("fig3", 32));
         assert!(!m.attach_phases("nope", PhaseTimings::default()));
         assert!(m.attach_phases(
             "fig3",
@@ -392,8 +366,8 @@ mod tests {
 
     #[test]
     fn attach_trace_folds_digest_into_entry_json() {
-        let mut m = RunManifest::new(2, None);
-        m.record(&stats("fig3", 8, 0));
+        let mut m = RunManifest::new(2);
+        m.record(&stats("fig3", 8));
         assert!(!m.attach_trace("nope", TraceSummary::default()));
         let summary = TraceSummary {
             files: 8,
@@ -423,8 +397,8 @@ mod tests {
 
     #[test]
     fn failures_are_rendered_and_detected() {
-        let mut m = RunManifest::new(2, None);
-        let mut s = stats("fig-faults", 5, 0);
+        let mut m = RunManifest::new(2);
+        let mut s = stats("fig-faults", 5);
         s.failures.push(JobFailure {
             point: 2,
             label: "rate=1e-3 for".to_string(),
@@ -439,15 +413,15 @@ mod tests {
             ),
             "{json}"
         );
-        let clean = RunManifest::new(2, None);
+        let clean = RunManifest::new(2);
         assert!(!clean.has_failures());
     }
 
     #[test]
     fn empty_manifest_and_no_cache() {
-        let m = RunManifest::new(1, None);
+        let m = RunManifest::new(1);
         let json = m.to_json();
-        assert!(json.contains("\"cache\": null"), "{json}");
+        assert!(!json.contains("cache"), "{json}");
         assert!(json.contains("\"experiments\": []"), "{json}");
     }
 

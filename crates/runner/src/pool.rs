@@ -7,15 +7,13 @@
 //! determinism contract; parallelism exists only **between** jobs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::cache::ResultCache;
 use crate::job::{JobOutput, SimJob};
 
-/// One job that panicked (after exhausting any configured retries).
+/// One job that panicked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobFailure {
     /// Point index of the job within its experiment.
@@ -33,8 +31,6 @@ pub struct ExperimentStats {
     pub id: String,
     /// Total jobs in the experiment.
     pub jobs: usize,
-    /// Jobs served from the result cache.
-    pub cache_hits: usize,
     /// Wall-clock time for the whole experiment.
     pub wall: Duration,
     /// Jobs that panicked, in point order. Their output slots hold
@@ -51,33 +47,21 @@ pub struct ExperimentRun {
     pub stats: ExperimentStats,
 }
 
-/// The orchestrator: a worker-count knob, an optional result cache,
-/// and progress reporting.
+/// The orchestrator: a worker-count knob and progress reporting.
 #[derive(Debug)]
 pub struct Runner {
     workers: usize,
-    cache: Option<ResultCache>,
     quiet: bool,
-    max_retries: usize,
 }
 
 impl Runner {
-    /// A runner with `workers` parallel workers (clamped to ≥ 1), no
-    /// cache, no retries, and progress lines on.
+    /// A runner with `workers` parallel workers (clamped to ≥ 1) and
+    /// progress lines on.
     pub fn new(workers: usize) -> Self {
         Runner {
             workers: workers.max(1),
-            cache: None,
             quiet: false,
-            max_retries: 0,
         }
-    }
-
-    /// Enables the result cache under `dir`.
-    #[must_use]
-    pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache = Some(ResultCache::new(dir));
-        self
     }
 
     /// Suppresses per-job progress lines (stats are still returned).
@@ -87,71 +71,31 @@ impl Runner {
         self
     }
 
-    /// Re-runs a panicking job up to `n` extra times before recording
-    /// it failed (for transiently flaky jobs; deterministic panics
-    /// still fail, just `n` times slower).
-    #[must_use]
-    pub fn max_retries(mut self, n: usize) -> Self {
-        self.max_retries = n;
-        self
-    }
-
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Runs every job of `id`, returning outputs in point order.
-    ///
-    /// Jobs already in the cache are served from it; the rest execute
-    /// on the pool and are stored back afterwards. Output is
-    /// **independent of the worker count**: identical specs yield
-    /// identical outputs in identical order.
+    /// Runs every job of `id` on the pool, returning outputs in point
+    /// order. Output is **independent of the worker count**: identical
+    /// jobs yield identical outputs in identical order.
     ///
     /// A panicking job closure does **not** bring the run down: the
-    /// panic is caught, the job is retried up to the configured
-    /// [`Runner::max_retries`] budget, and a job that never succeeds is
-    /// recorded in [`ExperimentStats::failures`] with an empty output in
-    /// its slot while every sibling job completes normally.
+    /// panic is caught and recorded in [`ExperimentStats::failures`]
+    /// with an empty output in its slot, while every sibling job
+    /// completes normally. A job is a pure function of its spec, so it
+    /// is never re-run: a retry could only repeat the same panic.
     pub fn execute(&self, id: &str, jobs: &[SimJob]) -> ExperimentRun {
         let started = Instant::now();
         let total = jobs.len();
         let slots: Vec<OnceLock<JobOutput>> = (0..total).map(|_| OnceLock::new()).collect();
         let failures: Mutex<Vec<JobFailure>> = Mutex::new(Vec::new());
-
-        // Phase 1: serve cache hits, collect the remainder.
-        let mut pending: Vec<usize> = Vec::new();
-        let mut cache_hits = 0usize;
-        for (i, job) in jobs.iter().enumerate() {
-            match self.cache.as_ref().and_then(|c| c.load(&job.spec)) {
-                Some(out) => {
-                    slots[i].set(out).expect("slot set twice");
-                    cache_hits += 1;
-                    self.progress(id, cache_hits, total, &job.spec.label, None);
-                }
-                None => pending.push(i),
-            }
-        }
-
-        // Phase 2: execute the misses.
-        let done = AtomicUsize::new(cache_hits);
+        let done = AtomicUsize::new(0);
         let run_one = |i: usize| {
             let job = &jobs[i];
             let t0 = Instant::now();
-            let mut result = None;
-            let mut error = String::new();
-            for _ in 0..=self.max_retries {
-                match catch_unwind(AssertUnwindSafe(|| (job.run)())) {
-                    Ok(out) => {
-                        result = Some(out);
-                        break;
+            let out = match catch_unwind(AssertUnwindSafe(|| (job.run)())) {
+                Ok(out) => out,
+                Err(payload) => {
+                    let error = panic_message(payload);
+                    if !self.quiet {
+                        eprintln!("  [{id}] FAILED {}: {error}", job.spec.label);
                     }
-                    Err(payload) => error = panic_message(payload),
-                }
-            }
-            let out = match result {
-                Some(out) => out,
-                None => {
                     // Keep the slot aligned; the failure record is the
                     // source of truth.
                     failures
@@ -160,33 +104,34 @@ impl Runner {
                         .push(JobFailure {
                             point: i,
                             label: job.spec.label.clone(),
-                            error: error.clone(),
+                            error,
                         });
-                    if !self.quiet {
-                        eprintln!("  [{id}] FAILED {}: {error}", job.spec.label);
-                    }
                     JobOutput::new()
                 }
             };
             slots[i].set(out).expect("job slot filled twice");
             let finished = done.fetch_add(1, Ordering::SeqCst) + 1;
-            self.progress(id, finished, total, &job.spec.label, Some(t0.elapsed()));
-        };
-        let workers = self.workers.min(pending.len());
-        if workers <= 1 {
-            for &i in &pending {
-                run_one(i);
+            if !self.quiet {
+                eprintln!(
+                    "  [{id} {finished}/{total}] {}  {:.2}s",
+                    job.spec.label,
+                    t0.elapsed().as_secs_f64()
+                );
             }
+        };
+        let workers = self.workers.min(total);
+        if workers <= 1 {
+            (0..total).for_each(run_one);
         } else {
             let cursor = AtomicUsize::new(0);
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| loop {
-                        let k = cursor.fetch_add(1, Ordering::SeqCst);
-                        match pending.get(k) {
-                            Some(&i) => run_one(i),
-                            None => break,
+                        let i = cursor.fetch_add(1, Ordering::SeqCst);
+                        if i >= total {
+                            break;
                         }
+                        run_one(i);
                     });
                 }
             });
@@ -194,25 +139,6 @@ impl Runner {
 
         let mut failures = failures.into_inner().expect("failure list poisoned");
         failures.sort_by_key(|f| f.point);
-
-        // Phase 3: persist the fresh results (main thread, after the
-        // pool drains, so cache writes never race). Failed jobs left
-        // empty placeholder outputs — never cache those.
-        if let Some(cache) = &self.cache {
-            for &i in &pending {
-                if failures.iter().any(|f| f.point == i) {
-                    continue;
-                }
-                let out = slots[i].get().expect("job finished");
-                if let Err(e) = cache.store(&jobs[i].spec, out) {
-                    eprintln!(
-                        "warning: could not cache {} job {i}: {e}",
-                        jobs[i].spec.experiment
-                    );
-                }
-            }
-        }
-
         let outputs: Vec<JobOutput> = slots
             .into_iter()
             .map(|slot| slot.into_inner().expect("every job produced an output"))
@@ -222,20 +148,9 @@ impl Runner {
             stats: ExperimentStats {
                 id: id.to_string(),
                 jobs: total,
-                cache_hits,
                 wall: started.elapsed(),
                 failures,
             },
-        }
-    }
-
-    fn progress(&self, id: &str, done: usize, total: usize, label: &str, took: Option<Duration>) {
-        if self.quiet {
-            return;
-        }
-        match took {
-            Some(d) => eprintln!("  [{id} {done}/{total}] {label}  {:.2}s", d.as_secs_f64()),
-            None => eprintln!("  [{id} {done}/{total}] {label}  (cached)"),
         }
     }
 }
@@ -256,24 +171,19 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use crate::job::JobSpec;
-    use std::sync::atomic::AtomicU32;
 
-    fn square_jobs(n: usize, runs: &'static AtomicU32) -> Vec<SimJob> {
+    fn square_jobs(n: usize) -> Vec<SimJob> {
         (0..n)
             .map(|i| {
-                let spec = JobSpec::new("squares", i, format!("p{i}")).param("i", i);
-                SimJob::new(spec, move || {
-                    runs.fetch_add(1, Ordering::SeqCst);
-                    JobOutput::new().metric("sq", (i * i) as f64)
-                })
+                let spec = JobSpec::new("squares", i, format!("p{i}"));
+                SimJob::new(spec, move || JobOutput::new().metric("sq", (i * i) as f64))
             })
             .collect()
     }
 
     #[test]
     fn outputs_come_back_in_point_order_regardless_of_workers() {
-        static RUNS: AtomicU32 = AtomicU32::new(0);
-        let jobs = square_jobs(17, &RUNS);
+        let jobs = square_jobs(17);
         let serial = Runner::new(1).quiet(true).execute("squares", &jobs);
         let parallel = Runner::new(8).quiet(true).execute("squares", &jobs);
         assert_eq!(serial.outputs, parallel.outputs);
@@ -281,57 +191,6 @@ mod tests {
             assert_eq!(out.get("sq"), (i * i) as f64);
         }
         assert_eq!(parallel.stats.jobs, 17);
-        assert_eq!(parallel.stats.cache_hits, 0);
-    }
-
-    #[test]
-    fn cache_second_run_executes_nothing() {
-        static RUNS: AtomicU32 = AtomicU32::new(0);
-        let dir =
-            std::env::temp_dir().join(format!("forhdc_runner_pool_cache_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let jobs = square_jobs(6, &RUNS);
-        let first = Runner::new(4)
-            .quiet(true)
-            .cache_dir(&dir)
-            .execute("squares", &jobs);
-        let ran_after_first = RUNS.load(Ordering::SeqCst);
-        assert_eq!(first.stats.cache_hits, 0);
-        let second = Runner::new(4)
-            .quiet(true)
-            .cache_dir(&dir)
-            .execute("squares", &jobs);
-        assert_eq!(second.stats.cache_hits, 6);
-        assert_eq!(
-            RUNS.load(Ordering::SeqCst),
-            ran_after_first,
-            "no job may re-run"
-        );
-        assert_eq!(first.outputs, second.outputs);
-    }
-
-    #[test]
-    fn partial_cache_resumes_only_the_remainder() {
-        static RUNS: AtomicU32 = AtomicU32::new(0);
-        let dir =
-            std::env::temp_dir().join(format!("forhdc_runner_pool_resume_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let jobs = square_jobs(8, &RUNS);
-        // Simulate an interrupted run: only half the jobs completed.
-        let cache = ResultCache::new(&dir);
-        for job in jobs.iter().take(4) {
-            cache.store(&job.spec, &(job.run)()).unwrap();
-        }
-        RUNS.store(0, Ordering::SeqCst);
-        let resumed = Runner::new(4)
-            .quiet(true)
-            .cache_dir(&dir)
-            .execute("squares", &jobs);
-        assert_eq!(resumed.stats.cache_hits, 4);
-        assert_eq!(RUNS.load(Ordering::SeqCst), 4, "only the missing half runs");
-        for (i, out) in resumed.outputs.iter().enumerate() {
-            assert_eq!(out.get("sq"), (i * i) as f64);
-        }
     }
 
     #[test]
@@ -345,7 +204,7 @@ mod tests {
     fn jobs_with_panicker(n: usize, bad: usize) -> Vec<SimJob> {
         (0..n)
             .map(|i| {
-                let spec = JobSpec::new("panicky", i, format!("p{i}")).param("i", i);
+                let spec = JobSpec::new("panicky", i, format!("p{i}"));
                 SimJob::new(spec, move || {
                     assert!(i != bad, "job {i} exploded deliberately");
                     JobOutput::new().metric("v", i as f64)
@@ -378,44 +237,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn failed_jobs_are_never_cached() {
-        let dir =
-            std::env::temp_dir().join(format!("forhdc_runner_pool_fail_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let jobs = jobs_with_panicker(3, 1);
-        let first = Runner::new(2)
-            .quiet(true)
-            .cache_dir(&dir)
-            .execute("panicky", &jobs);
-        assert_eq!(first.stats.failures.len(), 1);
-        // On rerun, good jobs hit the cache and the bad one re-runs
-        // (and fails again) instead of being served a bogus entry.
-        let second = Runner::new(2)
-            .quiet(true)
-            .cache_dir(&dir)
-            .execute("panicky", &jobs);
-        assert_eq!(second.stats.cache_hits, 2);
-        assert_eq!(second.stats.failures.len(), 1);
-    }
-
-    #[test]
-    fn transient_panic_succeeds_within_retry_budget() {
-        static ATTEMPTS: AtomicU32 = AtomicU32::new(0);
-        let spec = JobSpec::new("flaky", 0, "p0").param("i", 0u64);
-        let jobs = vec![SimJob::new(spec, || {
-            // Fails twice, then succeeds.
-            assert!(ATTEMPTS.fetch_add(1, Ordering::SeqCst) >= 2, "flaky");
-            JobOutput::new().metric("ok", 1.0)
-        })];
-        let run = Runner::new(1)
-            .quiet(true)
-            .max_retries(2)
-            .execute("flaky", &jobs);
-        assert!(run.stats.failures.is_empty());
-        assert_eq!(run.outputs[0].get("ok"), 1.0);
-        assert_eq!(ATTEMPTS.load(Ordering::SeqCst), 3);
     }
 }

@@ -248,11 +248,6 @@ impl ArrayConfig {
         crate::mirror::virtual_disks(self.disks, self.mirrored)
     }
 
-    /// Total controller cache across the array, in blocks.
-    pub fn total_cache_blocks(&self) -> u64 {
-        self.disks as u64 * self.disk.cache_blocks() as u64
-    }
-
     /// Total logical capacity of the array in blocks (halved under
     /// mirroring: every block is stored twice).
     pub fn capacity_blocks(&self) -> u64 {
@@ -313,7 +308,6 @@ mod tests {
     fn striping_builder() {
         let a = ArrayConfig::default().with_striping_unit_bytes(16 * 1024);
         assert_eq!(a.striping_unit_blocks(), 4);
-        assert_eq!(a.total_cache_blocks(), 8 * 1024);
     }
 
     #[test]

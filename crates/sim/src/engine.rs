@@ -115,11 +115,6 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// The firing time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time())
-    }
-
     /// The current simulated time: the firing time of the most recently
     /// popped event, or [`SimTime::ZERO`] before any pop.
     pub fn now(&self) -> SimTime {
@@ -183,15 +178,5 @@ mod tests {
         q.schedule(SimTime::from_nanos(10), ());
         q.pop();
         q.schedule(SimTime::from_nanos(5), ());
-    }
-
-    #[test]
-    fn peek_does_not_advance_clock() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(9), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(9)));
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 }

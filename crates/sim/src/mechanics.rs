@@ -90,11 +90,6 @@ impl DiskMechanics {
         self.head_cylinder
     }
 
-    /// Forces the head position (useful in tests).
-    pub fn set_head_cylinder(&mut self, cylinder: u32) {
-        self.head_cylinder = cylinder;
-    }
-
     /// The geometry this mechanism is built on.
     pub fn geometry(&self) -> &DiskGeometry {
         &self.geometry
@@ -163,13 +158,6 @@ impl DiskMechanics {
         }
     }
 
-    /// Seek distance (cylinders) from the current head position to
-    /// `block`, without moving the head.
-    pub fn seek_distance_to(&self, block: PhysBlock) -> u32 {
-        self.head_cylinder
-            .abs_diff(self.geometry.cylinder_of(block))
-    }
-
     /// The closed-form expected service time of a random `nblocks`
     /// operation: average seek + half a revolution + transfer. This is
     /// the `T(r)` the paper uses in its utilization arguments.
@@ -220,10 +208,8 @@ mod tests {
 
     #[test]
     fn transfer_scales_with_blocks() {
-        let mut m = mech();
-        let t1 = m.service(ReadWrite::Read, PhysBlock::new(0), 1, SimTime::ZERO);
-        m.set_head_cylinder(0);
-        let t32 = m.service(ReadWrite::Read, PhysBlock::new(0), 32, SimTime::ZERO);
+        let t1 = mech().service(ReadWrite::Read, PhysBlock::new(0), 1, SimTime::ZERO);
+        let t32 = mech().service(ReadWrite::Read, PhysBlock::new(0), 32, SimTime::ZERO);
         let ratio = t32.transfer.as_nanos() as f64 / t1.transfer.as_nanos() as f64;
         assert!((ratio - 32.0).abs() < 0.01);
     }
@@ -292,13 +278,5 @@ mod tests {
         let mut m = mech();
         let cap = m.geometry().capacity_blocks();
         m.service(ReadWrite::Read, PhysBlock::new(cap - 1), 2, SimTime::ZERO);
-    }
-
-    #[test]
-    fn seek_distance_query_does_not_move_head() {
-        let m = mech();
-        let bpc = m.geometry().blocks_per_cylinder() as u64;
-        assert_eq!(m.seek_distance_to(PhysBlock::new(bpc * 5)), 5);
-        assert_eq!(m.head_cylinder(), 0);
     }
 }

@@ -314,14 +314,13 @@ impl TraceBuilder {
     }
 
     /// Closes a job of the first `len` requests after the last
-    /// boundary, for producers that push a job's requests before the
-    /// job is known to end there.
+    /// boundary.
     ///
     /// # Panics
     ///
     /// Panics if `len` is zero or exceeds the requests pushed since the
     /// last boundary.
-    pub fn close_job(&mut self, len: usize) {
+    fn close_job(&mut self, len: usize) {
         assert!(len > 0, "jobs must be non-empty");
         assert!(
             self.closed + len <= self.requests.len(),
