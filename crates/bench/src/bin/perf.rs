@@ -7,21 +7,22 @@
 //! (`BENCH_*.json`).
 //!
 //! ```text
-//! perf [--fast] [--json PATH] [--baseline PATH] [--fail-below RATIO]
+//! perf [--fast] [--json PATH]
 //! perf cmp OLD.json NEW.json [--fail-below RATIO]
 //!
-//!   --fast             CI smoke mode: one repetition, small batches
+//!   --fast             CI smoke mode: fewer repetitions, small batches
 //!   --json PATH        write the results as JSON to PATH
-//!   --baseline PATH    read a previous --json output and report speedups
-//!   --fail-below R     exit non-zero if any bench's speedup vs the
-//!                      baseline falls below R (gross-regression gate)
 //!
-//!   cmp OLD NEW        machine-readable comparison of two BENCH files:
-//!                      one `name<TAB>old_ns<TAB>new_ns<TAB>speedup` row
+//!   cmp OLD NEW        the one comparison of two BENCH files: one
+//!                      `name<TAB>old_ns<TAB>new_ns<TAB>speedup` row
 //!                      per bench present in both, no timing reruns.
-//!                      With --fail-below R, exits non-zero if any
-//!                      common bench's speedup falls below R.
+//!                      With --fail-below R, exits 1 if any common
+//!                      bench's speedup falls below R.
 //! ```
+//!
+//! Arguments parse through [`forhdc_trace::Args`], as in every tool:
+//! an unknown flag or a bad value exits 2 with the usage text. A new
+//! mode is a positional subcommand like `cmp`.
 //!
 //! Each bench runs a *fixed work quantum* and reports the best-of-R
 //! nanoseconds per operation, so two runs on the same machine are
@@ -46,7 +47,7 @@ use forhdc_sim::{
     DiskConfig, DiskMechanics, LaneCalendar, LogicalBlock, PhysBlock, ReadWrite, SchedulerKind,
     SimDuration, SimTime, StripingMap,
 };
-use forhdc_trace::outln;
+use forhdc_trace::{outln, Args};
 use forhdc_workload::{ServerWorkloadSpec, SyntheticWorkload};
 
 /// One bench result: best-of-R mean nanoseconds per operation.
@@ -320,42 +321,21 @@ fn bench_system(
     });
 }
 
-fn bench_e2e(h: &mut Harness) {
-    // One fig3 point (16-KByte files, 128 streams, FOR policy), exactly
-    // as plan_fig3 builds it, at a reduced request count so the full
-    // harness stays under a minute.
-    // Same request count in both modes: per-request cost has a fixed
-    // setup component, so shrinking the run would make fast-mode
-    // numbers incomparable to a full-mode baseline.
-    let opts = RunOptions::default();
-    let requests = opts.synthetic_requests / 2;
-    let seed = point_seed("fig3", 5); // row 5 = 16-KByte files
+/// Times one synthetic-workload point under FOR, built as `experiment`'s
+/// plan builds its `row`: 16-KByte files, 128 streams and the
+/// builder's Zipf alpha of 0.4 (fig3's point and fig5's alpha-0.4
+/// row). Both modes run half the paper's request count: per-request
+/// cost has a fixed setup component, so shrinking the run in fast mode
+/// would make its numbers incomparable to a full-mode baseline.
+fn bench_e2e(h: &mut Harness, name: &'static str, experiment: &str, row: usize) {
     let wl = SyntheticWorkload::builder()
-        .requests(requests)
+        .requests(RunOptions::default().synthetic_requests / 2)
         .files(20_000)
         .file_blocks(4)
         .streams(128)
-        .seed(seed)
+        .seed(point_seed(experiment, row))
         .build();
-    bench_system(h, "e2e/fig3_point_for", &wl, SystemConfig::for_);
-}
-
-fn bench_e2e_fig5(h: &mut Harness) {
-    // One fig5 point (alpha 0.4, 8-disk array, FOR policy) at a reduced
-    // request count: a skewed multi-disk workload whose media
-    // completions overlap across disks.
-    let opts = RunOptions::default();
-    let requests = opts.synthetic_requests / 2;
-    let seed = point_seed("fig5", 2); // row 2 = Zipf alpha 0.4
-    let wl = SyntheticWorkload::builder()
-        .requests(requests)
-        .files(20_000)
-        .file_blocks(4)
-        .streams(128)
-        .zipf_alpha(0.4)
-        .seed(seed)
-        .build();
-    bench_system(h, "e2e/fig5_point_for", &wl, SystemConfig::for_);
+    bench_system(h, name, &wl, SystemConfig::for_);
 }
 
 fn bench_e2e_sim_web(h: &mut Harness) {
@@ -471,7 +451,7 @@ fn bench_planner(h: &mut Harness) {
     }
 }
 
-fn to_json(results: &[BenchResult], fast: bool, baseline: Option<&Vec<(String, f64)>>) -> String {
+fn to_json(results: &[BenchResult], fast: bool) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"version\": 1,\n");
@@ -489,33 +469,7 @@ fn to_json(results: &[BenchResult], fast: bool, baseline: Option<&Vec<(String, f
             r.name, r.ns_per_op, r.ops
         ));
     }
-    s.push_str("\n  }");
-    if let Some(base) = baseline {
-        s.push_str(",\n  \"baseline_ns_per_op\": {");
-        for (i, (name, ns)) in base.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    \"{name}\": {ns:.1}"));
-        }
-        s.push_str("\n  },\n  \"speedup\": {");
-        let mut first = true;
-        for r in results {
-            if let Some((_, base_ns)) = base.iter().find(|(n, _)| n == r.name) {
-                if !first {
-                    s.push(',');
-                }
-                first = false;
-                s.push_str(&format!(
-                    "\n    \"{}\": {:.2}",
-                    r.name,
-                    base_ns / r.ns_per_op
-                ));
-            }
-        }
-        s.push_str("\n  }");
-    }
-    s.push_str("\n}\n");
+    s.push_str("\n  }\n}\n");
     s
 }
 
@@ -558,67 +512,35 @@ fn parse_baseline(text: &str) -> Vec<(String, f64)> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("cmp") {
-        return cmp_main(&args[1..]);
-    }
-    let mut fast = false;
-    let mut json_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut fail_below: Option<f64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--fast" => fast = true,
-            "--json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => json_path = Some(PathBuf::from(p)),
-                    None => return usage_err("--json needs a path"),
-                }
-            }
-            "--baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => baseline_path = Some(PathBuf::from(p)),
-                    None => return usage_err("--baseline needs a path"),
-                }
-            }
-            "--fail-below" => {
-                i += 1;
-                fail_below = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) if v > 0.0 => Some(v),
-                    _ => return usage_err("--fail-below needs a positive ratio"),
-                };
-            }
-            "-h" | "--help" => {
-                outln!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return usage_err(&format!("unknown argument '{other}'")),
+    match run() {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("error: {e}\n\n{USAGE}");
+            ExitCode::from(2)
         }
-        i += 1;
     }
-    if fail_below.is_some() && baseline_path.is_none() {
-        return usage_err("--fail-below needs --baseline");
+}
+
+/// Dispatches on the first word. `Err` is a usage error (exit 2); a
+/// runtime failure prints its own diagnostic and returns exit 1.
+fn run() -> Result<ExitCode, String> {
+    let args = Args::from_env(&["fast", "help"]);
+    if args.set("help") || args.positional().iter().any(|p| p == "-h") {
+        outln!("{USAGE}");
+        return Ok(ExitCode::SUCCESS);
     }
-    let baseline = match &baseline_path {
-        Some(p) => match std::fs::read_to_string(p) {
-            Ok(text) => {
-                let parsed = parse_baseline(&text);
-                if parsed.is_empty() {
-                    eprintln!("error: no benches found in baseline {}", p.display());
-                    return ExitCode::FAILURE;
-                }
-                Some(parsed)
-            }
-            Err(e) => {
-                eprintln!("error: could not read baseline {}: {e}", p.display());
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
+    match args.positional() {
+        [] => bench_main(&args),
+        [cmd, ..] if cmd == "cmp" => cmp_main(&args),
+        [other, ..] => Err(format!("unknown command '{other}'")),
+    }
+}
+
+/// `perf [--fast] [--json PATH]`: runs every bench.
+fn bench_main(args: &Args) -> Result<ExitCode, String> {
+    let fast = args.set("fast");
+    let json_path = args.get("json").map(PathBuf::from);
+    args.finish()?;
 
     let mut h = Harness {
         fast,
@@ -646,69 +568,29 @@ fn main() -> ExitCode {
     bench_layout(&mut h);
     bench_generate(&mut h);
     bench_planner(&mut h);
-    bench_e2e(&mut h);
-    bench_e2e_fig5(&mut h);
+    bench_e2e(&mut h, "e2e/fig3_point_for", "fig3", 5); // row 5 = 16-KByte files
+    bench_e2e(&mut h, "e2e/fig5_point_for", "fig5", 2); // row 2 = alpha 0.4
     bench_e2e_sim_web(&mut h);
 
-    let mut regressed = Vec::new();
-    if let Some(base) = &baseline {
-        outln!("\nspeedup vs baseline:");
-        for r in &h.results {
-            if let Some((_, base_ns)) = base.iter().find(|(n, _)| n == r.name) {
-                let speedup = base_ns / r.ns_per_op;
-                outln!("{:<40} {speedup:>11.2}x", r.name);
-                if fail_below.is_some_and(|min| speedup < min) {
-                    regressed.push((r.name, speedup));
-                }
-            }
-        }
-    }
     if let Some(path) = json_path {
-        let json = to_json(&h.results, fast, baseline.as_ref());
-        if let Err(e) = std::fs::write(&path, json) {
+        if let Err(e) = std::fs::write(&path, to_json(&h.results, fast)) {
             eprintln!("error: could not write {}: {e}", path.display());
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
-    if let Some(min) = fail_below {
-        if !regressed.is_empty() {
-            eprintln!("error: speedup below the {min:.2}x floor:");
-            for (name, speedup) in &regressed {
-                eprintln!("  {name:<40} {speedup:>11.2}x");
-            }
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `perf cmp OLD NEW [--fail-below R]`: compares two BENCH files
 /// without rerunning anything. Prints one tab-separated row per bench
 /// present in both files — `name old_ns new_ns speedup` — so CI and
 /// scripts can gate on it without ad-hoc JSON surgery.
-fn cmp_main(args: &[String]) -> ExitCode {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut fail_below: Option<f64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--fail-below" => {
-                i += 1;
-                fail_below = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) if v > 0.0 => Some(v),
-                    _ => return usage_err("--fail-below needs a positive ratio"),
-                };
-            }
-            "-h" | "--help" => {
-                outln!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            _ => paths.push(&args[i]),
-        }
-        i += 1;
-    }
-    let [old_path, new_path] = paths[..] else {
-        return usage_err("cmp needs exactly two BENCH files");
+fn cmp_main(args: &Args) -> Result<ExitCode, String> {
+    // Speedups are positive, so the default floor never fails.
+    let floor = args.positive("fail-below", 0.0)?;
+    args.finish()?;
+    let [_, old_path, new_path] = args.positional() else {
+        return Err("cmp needs exactly two BENCH files".into());
     };
     let mut sides = Vec::new();
     for p in [old_path, new_path] {
@@ -717,13 +599,13 @@ fn cmp_main(args: &[String]) -> ExitCode {
                 let parsed = parse_baseline(&text);
                 if parsed.is_empty() {
                     eprintln!("error: no benches found in {p}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
                 sides.push(parsed);
             }
             Err(e) => {
                 eprintln!("error: could not read {p}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
@@ -735,21 +617,17 @@ fn cmp_main(args: &[String]) -> ExitCode {
         };
         let speedup = old_ns / new_ns;
         outln!("{name}\t{old_ns:.1}\t{new_ns:.1}\t{speedup:.2}");
-        if fail_below.is_some_and(|min| speedup < min) {
+        if speedup < floor {
             regressed = true;
             eprintln!("error: {name} speedup {speedup:.2}x below the floor");
         }
     }
-    if regressed {
+    Ok(if regressed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
-const USAGE: &str = "usage: perf [--fast] [--json PATH] [--baseline PATH] [--fail-below RATIO]\n       perf cmp OLD.json NEW.json [--fail-below RATIO]";
-
-fn usage_err(err: &str) -> ExitCode {
-    eprintln!("error: {err}\n\n{USAGE}");
-    ExitCode::from(2)
-}
+const USAGE: &str =
+    "usage: perf [--fast] [--json PATH]\n       perf cmp OLD.json NEW.json [--fail-below RATIO]";

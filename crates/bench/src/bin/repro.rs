@@ -28,6 +28,9 @@
 //!   replay FILE  re-run a reproducer; exits 0 iff it still fails
 //! ```
 //!
+//! Arguments parse through [`forhdc_trace::Args`]: an unknown flag or
+//! a bad value exits 2 with the usage text, a runtime failure exits 1.
+//!
 //! Every experiment runs as independent jobs on a worker pool and
 //! reassembles in deterministic point order, so `--jobs 8` produces the
 //! same bytes as a serial run. Each run writes `<out>/manifest.json`
@@ -42,90 +45,70 @@ use std::process::ExitCode;
 
 use forhdc_bench::{experiments, RunOptions};
 use forhdc_runner::{PhaseTimings, RunManifest, Runner};
-use forhdc_trace::outln;
+use forhdc_trace::{outln, Args};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("fuzz") => return fuzz_main(&args[1..]),
-        Some("replay") => return replay_main(&args[1..]),
-        _ => {}
-    }
-    let mut opts = RunOptions::default();
-    let mut out_dir = PathBuf::from("results");
-    let mut jobs = 1usize;
-    let mut timings = false;
-    let mut targets: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                opts.scale = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) if v > 0.0 => v,
-                    _ => return usage_err("--scale needs a positive number"),
-                };
-            }
-            "--requests" => {
-                i += 1;
-                opts.synthetic_requests = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) if v > 0 => v,
-                    _ => return usage_err("--requests needs a positive integer"),
-                };
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) if v > 0 => v,
-                    _ => return usage_err("--jobs needs a positive integer"),
-                };
-            }
-            "--check" => opts.check = true,
-            "--trace" => {
-                i += 1;
-                opts.trace_dir = match args.get(i) {
-                    // Leaked once per process so RunOptions stays Copy.
-                    Some(d) => Some(Box::leak(d.clone().into_boxed_str())),
-                    None => return usage_err("--trace needs a directory"),
-                };
-            }
-            "--timings" => timings = true,
-            "--out" => {
-                i += 1;
-                out_dir = match args.get(i) {
-                    Some(d) => PathBuf::from(d),
-                    None => return usage_err("--out needs a directory"),
-                };
-            }
-            "--list" => {
-                for id in experiments::ALL {
-                    outln!("{id}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            "-h" | "--help" => {
-                outln!("{}", usage_text());
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                return usage_err(&format!("unknown argument '{other}'"))
-            }
-            other => targets.push(other.to_string()),
+    match run() {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("error: {e}\n\n{}", usage_text());
+            ExitCode::from(2)
         }
-        i += 1;
     }
+}
+
+/// Dispatches on the first word. `Err` is a usage error (exit 2); a
+/// runtime failure prints its own diagnostic and returns exit 1.
+fn run() -> Result<ExitCode, String> {
+    let args = Args::from_env(&["check", "timings", "list", "help"]);
+    if args.set("help") || args.positional().iter().any(|p| p == "-h") {
+        outln!("{}", usage_text());
+        return Ok(ExitCode::SUCCESS);
+    }
+    match args.positional().first().map(String::as_str) {
+        Some("fuzz") => fuzz_main(&args),
+        Some("replay") => replay_main(&args),
+        _ => experiments_main(&args),
+    }
+}
+
+/// `repro <experiment|all> ...` and `repro --list`.
+fn experiments_main(args: &Args) -> Result<ExitCode, String> {
+    let defaults = RunOptions::default();
+    let opts = RunOptions {
+        scale: args.positive("scale", defaults.scale)?,
+        synthetic_requests: args.positive("requests", defaults.synthetic_requests)?,
+        check: args.set("check"),
+        // Leaked once per process so RunOptions stays Copy.
+        trace_dir: args
+            .get("trace")
+            .map(|d| &*Box::leak(d.to_string().into_boxed_str())),
+        ..defaults
+    };
+    let out_dir = PathBuf::from(args.get("out").unwrap_or("results"));
+    let jobs = args.positive("jobs", 1usize)?;
+    let timings = args.set("timings");
+    let list = args.set("list");
+    args.finish()?;
+    if list {
+        for id in experiments::ALL {
+            outln!("{id}");
+        }
+        return Ok(ExitCode::SUCCESS);
+    }
+    let targets = args.positional();
     if targets.is_empty() {
-        return usage_err("no experiment given");
+        return Err("no experiment given".into());
     }
     let ids: Vec<&str> = if targets.iter().any(|t| t == "all") {
         experiments::ALL.to_vec()
     } else {
         let mut ids = Vec::new();
-        for t in &targets {
+        for t in targets {
             if experiments::ALL.contains(&t.as_str()) || experiments::HIDDEN.contains(&t.as_str()) {
                 ids.push(t.as_str());
             } else {
-                return usage_err(&format!("unknown experiment '{t}'"));
+                return Err(format!("unknown experiment '{t}'"));
             }
         }
         ids
@@ -135,12 +118,12 @@ fn main() -> ExitCode {
     // beats a full run that cannot land its outputs.
     if let Err(e) = forhdc_bench::tracefs::ensure_writable_dir(&out_dir) {
         eprintln!("error: output directory: {e}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     if let Some(root) = opts.trace_dir {
         if let Err(e) = forhdc_bench::tracefs::ensure_writable_dir(std::path::Path::new(root)) {
             eprintln!("error: trace directory: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
 
@@ -213,54 +196,25 @@ fn main() -> ExitCode {
         eprintln!("error: could not write {}: {e}", manifest_path.display());
         io_failed = true;
     }
-    if io_failed {
+    Ok(if io_failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// `repro fuzz [--iters N] [--seed S] [--out DIR]`: randomized
 /// invariant fuzzing; exits non-zero iff a failure was found (after
 /// shrinking it and writing a reproducer under `<out>/repros/`).
-fn fuzz_main(args: &[String]) -> ExitCode {
-    let mut iters = 200u64;
-    let mut seed = 1u64;
-    let mut out_dir = PathBuf::from("results");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--iters" => {
-                i += 1;
-                iters = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) if v > 0 => v,
-                    _ => return usage_err("--iters needs a positive integer"),
-                };
-            }
-            "--seed" => {
-                i += 1;
-                seed = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) => v,
-                    None => return usage_err("--seed needs an unsigned integer"),
-                };
-            }
-            "--out" => {
-                i += 1;
-                out_dir = match args.get(i) {
-                    Some(d) => PathBuf::from(d),
-                    None => return usage_err("--out needs a directory"),
-                };
-            }
-            "-h" | "--help" => {
-                outln!("{}", usage_text());
-                return ExitCode::SUCCESS;
-            }
-            other => return usage_err(&format!("unknown fuzz argument '{other}'")),
-        }
-        i += 1;
+fn fuzz_main(args: &Args) -> Result<ExitCode, String> {
+    let iters = args.positive("iters", 200u64)?;
+    let seed = args.flag("seed", 1u64)?;
+    let repro_dir = PathBuf::from(args.get("out").unwrap_or("results")).join("repros");
+    args.finish()?;
+    if let Some(extra) = args.positional().get(1) {
+        return Err(format!("unexpected argument '{extra}'"));
     }
-    let repro_dir = out_dir.join("repros");
-    match forhdc_bench::fuzz::fuzz(iters, seed, &repro_dir) {
+    let code = match forhdc_bench::fuzz::fuzz(iters, seed, &repro_dir) {
         Ok(outcome) => match outcome.failure {
             None => {
                 outln!("fuzz: {iters} iteration(s) clean (seed {seed})");
@@ -281,31 +235,32 @@ fn fuzz_main(args: &[String]) -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
-    }
+    };
+    Ok(code)
 }
 
 /// `repro replay FILE`: re-runs a reproducer. Exit 0 = the case still
 /// fails (it reproduced); 1 = it now passes; 2 = unreadable file.
-fn replay_main(args: &[String]) -> ExitCode {
-    match args {
-        [file] if file != "-h" && file != "--help" => {
-            match forhdc_bench::fuzz::replay(std::path::Path::new(file)) {
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::from(2)
-                }
-                Ok(Err(err)) => {
-                    outln!("reproduced:\n{err}");
-                    ExitCode::SUCCESS
-                }
-                Ok(Ok(())) => {
-                    eprintln!("did not reproduce: the case now passes");
-                    ExitCode::FAILURE
-                }
-            }
+fn replay_main(args: &Args) -> Result<ExitCode, String> {
+    args.finish()?;
+    let [_, file] = args.positional() else {
+        return Err("replay needs exactly one reproducer file".into());
+    };
+    let code = match forhdc_bench::fuzz::replay(std::path::Path::new(file)) {
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
         }
-        _ => usage_err("replay needs exactly one reproducer file"),
-    }
+        Ok(Err(err)) => {
+            outln!("reproduced:\n{err}");
+            ExitCode::SUCCESS
+        }
+        Ok(Ok(())) => {
+            eprintln!("did not reproduce: the case now passes");
+            ExitCode::FAILURE
+        }
+    };
+    Ok(code)
 }
 
 fn usage_text() -> String {
@@ -313,9 +268,4 @@ fn usage_text() -> String {
         "usage: repro <experiment|all> [--jobs N] [--scale X] [--requests N] [--out DIR] [--trace DIR] [--check] [--timings]\n       repro fuzz [--iters N] [--seed S] [--out DIR]\n       repro replay FILE\n       repro --list\n\nexperiments: {}",
         experiments::ALL.join(" ")
     )
-}
-
-fn usage_err(err: &str) -> ExitCode {
-    eprintln!("error: {err}\n\n{}", usage_text());
-    ExitCode::from(2)
 }

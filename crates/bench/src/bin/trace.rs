@@ -19,7 +19,7 @@ use std::process::ExitCode;
 
 use forhdc_bench::tracefs;
 use forhdc_trace::{
-    outln, parse_jsonl, slowest_requests, utilization_timeline, TraceEvent, TraceSummary,
+    outln, parse_jsonl, slowest_requests, utilization_timeline, Args, TraceEvent, TraceSummary,
 };
 
 /// Timeline width: one column per sampler bucket, capped to fit a
@@ -27,38 +27,38 @@ use forhdc_trace::{
 const TIMELINE_COLS: usize = 24;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut dir: Option<String> = None;
-    let mut top = 5usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--top" => {
-                i += 1;
-                top = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) => v,
-                    None => return usage_err("--top needs a non-negative integer"),
-                };
-            }
-            "-h" | "--help" => {
-                outln!("{}", usage_text());
-                return ExitCode::SUCCESS;
-            }
-            other if dir.is_none() => dir = Some(other.to_string()),
-            other => return usage_err(&format!("unexpected argument '{other}'")),
+    match run() {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("error: {e}\n\n{USAGE}");
+            ExitCode::from(2)
         }
-        i += 1;
     }
-    let Some(dir) = dir else {
-        return usage_err("no trace directory given");
+}
+
+/// `Err` is a usage error (exit 2); a runtime failure prints its own
+/// diagnostic and returns exit 1.
+fn run() -> Result<ExitCode, String> {
+    let args = Args::from_env(&["help"]);
+    if args.set("help") || args.positional().iter().any(|p| p == "-h") {
+        outln!("{USAGE}");
+        return Ok(ExitCode::SUCCESS);
+    }
+    let top = args.flag("top", 5usize)?;
+    args.finish()?;
+    let dir = match args.positional() {
+        [] => return Err("no trace directory given".into()),
+        [dir] => dir,
+        [_, extra, ..] => return Err(format!("unexpected argument '{extra}'")),
     };
-    match report(Path::new(&dir), top) {
+    let code = match report(Path::new(dir), top) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
-    }
+    };
+    Ok(code)
 }
 
 fn report(dir: &Path, top: usize) -> Result<(), String> {
@@ -267,11 +267,4 @@ fn rw(write: bool) -> &'static str {
     }
 }
 
-fn usage_text() -> &'static str {
-    "usage: trace <dir> [--top N]\n\n  dir      one experiment's trace directory (e.g. traces/fig3)\n  --top N  slowest requests to break down (default 5)"
-}
-
-fn usage_err(err: &str) -> ExitCode {
-    eprintln!("error: {err}\n\n{}", usage_text());
-    ExitCode::from(2)
-}
+const USAGE: &str = "usage: trace <dir> [--top N]\n\n  dir      one experiment's trace directory (e.g. traces/fig3)\n  --top N  slowest requests to break down (default 5)";

@@ -91,14 +91,13 @@ pub fn plan_fig2(opts: RunOptions) -> PlannedExperiment {
                 &["rank", "web", "proxy", "file", "zipf_0.43_model"],
             );
             // Zipf reference scaled to the web curve's total over
-            // 300 K blocks.
+            // 300 K blocks: rank r's share is r^-0.43 / H, and
+            // `zipf_cumulative(1, ..)` is 1 / H, summed once.
             let web_total = out[0].get("total");
-            let n_ref = 300_000u64;
+            let norm = zipf_cumulative(1, 300_000, 0.43);
             for rank in FIG2_RANKS {
                 let sample = |o: &JobOutput| (o.get(&format!("r{rank}")) as u64).to_string();
-                let z = (zipf_cumulative(rank as u64, n_ref, 0.43)
-                    - zipf_cumulative(rank as u64 - 1, n_ref, 0.43))
-                    * web_total;
+                let z = (rank as f64).powf(-0.43) * norm * web_total;
                 t.push_row(vec![
                     rank.to_string(),
                     sample(&out[0]),

@@ -24,11 +24,11 @@ fn tmpdir(tag: &str) -> PathBuf {
 #[test]
 fn fuzz_bad_arguments_exit_2() {
     for (args, needle) in [
-        (vec!["fuzz", "--iters", "0"], "positive integer"),
-        (vec!["fuzz", "--iters", "many"], "positive integer"),
-        (vec!["fuzz", "--seed", "x"], "unsigned integer"),
-        (vec!["fuzz", "--out"], "needs a directory"),
-        (vec!["fuzz", "--bogus"], "unknown fuzz argument"),
+        (vec!["fuzz", "--iters", "0"], "--iters must be positive"),
+        (vec!["fuzz", "--iters", "many"], "--iters: invalid digit"),
+        (vec!["fuzz", "--seed", "x"], "--seed: invalid digit"),
+        (vec!["fuzz", "--out"], "--out needs a value"),
+        (vec!["fuzz", "--bogus"], "unknown argument '--bogus'"),
     ] {
         let out = repro().args(&args).output().expect("spawn repro");
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -1053,7 +1053,7 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
                     queued_at: now,
                     attempt: 0,
                 });
-                d.stats.note_queue_depth(d.sched.len(), now);
+                d.stats.note_queue_depth(d.sched.len());
                 if self.tracer.enabled() {
                     self.tracer.emit(TraceEvent::Probe {
                         t: now.as_nanos(),
@@ -1111,7 +1111,6 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
         let Some(op) = d.sched.pop_next(d.mech.head_cylinder()) else {
             return;
         };
-        d.stats.note_queue_depth(d.sched.len(), now);
         let timing = d.mech.service(op.kind, op.start, op.nblocks, now);
         // Charge the FOR bitmap scan: one bit per block examined.
         let extra = if self.cfg.read_ahead.needs_bitmap() && op.kind.is_read() {
@@ -1238,7 +1237,7 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
             queued_at: now,
             attempt: 0,
         });
-        d.stats.note_queue_depth(d.sched.len(), now);
+        d.stats.note_queue_depth(d.sched.len());
         if !self.disks[src].busy {
             self.start_next(DiskId::new(src as u16), now);
         }
@@ -1265,7 +1264,7 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
                     queued_at: now,
                     attempt: 0,
                 });
-                d.stats.note_queue_depth(d.sched.len(), now);
+                d.stats.note_queue_depth(d.sched.len());
                 if !self.disks[tgt].busy {
                     self.start_next(DiskId::new(tgt as u16), now);
                 }
@@ -1409,7 +1408,7 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
         let token = op.token;
         let d = &mut self.disks[disk.as_usize()];
         d.sched.push(op);
-        d.stats.note_queue_depth(d.sched.len(), now);
+        d.stats.note_queue_depth(d.sched.len());
         if self.tracer.enabled() {
             self.tracer.emit(TraceEvent::Queue {
                 t: now.as_nanos(),
@@ -1585,7 +1584,7 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
                     queued_at: now,
                     attempt: 0,
                 });
-                d.stats.note_queue_depth(d.sched.len(), now);
+                d.stats.note_queue_depth(d.sched.len());
                 if self.tracer.enabled() {
                     self.tracer.emit(TraceEvent::Queue {
                         t: now.as_nanos(),

@@ -102,32 +102,27 @@ fn fault_free_reports_are_pinned() {
     assert_eq!(
         got,
         [
-            ("web for+hdc", 4187, 1804300603, 17767697956189476238),
-            ("web segm", 4187, 2509785442, 13575389739822977299),
-            ("file for+hdc", 5000, 438841985, 9606147476928468798),
-            ("file segm", 5000, 3392965587, 8993163213273385447),
+            ("web for+hdc", 4187, 1804300603, 5158792243245619745),
+            ("web segm", 4187, 2509785442, 49650953190621974),
+            ("file for+hdc", 5000, 438841985, 10587253326420563932),
+            ("file segm", 5000, 3392965587, 12191287053261538980),
             (
                 "web mirrored closest",
                 4187,
                 1909163658,
-                1186826099729589658
+                16555673804874149069
             ),
-            ("web mirrored rr", 4187, 2348446058, 14283041276228861976),
-            ("web mirrored sq", 4187, 2069163658, 10464017327833141885),
-            (
-                "web mirrored primary",
-                4187,
-                3477163658,
-                10419985381837528403
-            ),
+            ("web mirrored rr", 4187, 2348446058, 17876801321072000952),
+            ("web mirrored sq", 4187, 2069163658, 9171383494856074152),
+            ("web mirrored primary", 4187, 3477163658, 649832142544618650),
             (
                 "file mirrored rebuild",
                 5000,
                 3758420133,
-                5889122252033085650
+                3584266136336452971
             ),
-            ("file periodic flush", 5000, 786395997, 2817859214654292854),
-            ("web cooperative", 4187, 2337785442, 4079210535006174993),
+            ("file periodic flush", 5000, 786395997, 10570108180745986506),
+            ("web cooperative", 4187, 2337785442, 18100797263230620316),
         ]
     );
 }
@@ -213,15 +208,15 @@ fn faulted_reports_are_pinned() {
             pin("web dense faults", &dense_r),
         ],
         [
-            ("web faults", 4187, 1920300603, 12513583671253371103),
-            ("file faults", 5000, 378373331, 8633835238107464796),
+            ("web faults", 4187, 1920300603, 1797847457972564046),
+            ("file faults", 5000, 378373331, 18251473600864704175),
             (
                 "file mirrored faults",
                 5000,
                 3737765587,
-                1606214905031572214
+                1769920489750389146
             ),
-            ("web dense faults", 4187, 1948300603, 417418413735344780),
+            ("web dense faults", 4187, 1948300603, 14823500698866132169),
         ]
     );
 }
@@ -274,6 +269,6 @@ fn victim_cache_reports_are_pinned() {
         .run();
     assert_eq!(
         [pin("victim", &r)],
-        [("victim", 6720, 3228518535, 7250759890469840204)]
+        [("victim", 6720, 3228518535, 17242099333071820188)]
     );
 }

@@ -37,6 +37,6 @@ pub mod seed;
 
 pub use job::{JobOutput, JobSpec, SimJob};
 pub use lazy::Lazy;
-pub use manifest::{ManifestEntry, PhaseTimings, RunManifest, TracePhase, TraceSummary};
+pub use manifest::{PhaseTimings, RunManifest, TracePhase, TraceSummary};
 pub use pool::{ExperimentRun, ExperimentStats, JobFailure, Runner};
 pub use seed::point_seed;

@@ -58,19 +58,19 @@ pub struct PhaseTimings {
 
 /// One experiment's row in the manifest.
 #[derive(Debug, Clone)]
-pub struct ManifestEntry {
+struct ManifestEntry {
     /// Experiment id.
-    pub id: String,
+    id: String,
     /// Total jobs.
-    pub jobs: usize,
+    jobs: usize,
     /// Wall-clock time for the experiment.
-    pub wall: Duration,
+    wall: Duration,
     /// Per-phase wall-clock breakdown, when the caller measured one.
-    pub phases: Option<PhaseTimings>,
+    phases: Option<PhaseTimings>,
     /// Trace digest, present only for traced runs.
-    pub trace: Option<TraceSummary>,
+    trace: Option<TraceSummary>,
     /// Jobs that panicked (empty for a clean run).
-    pub failures: Vec<JobFailure>,
+    failures: Vec<JobFailure>,
 }
 
 /// Accumulates per-experiment stats and renders them as JSON.
@@ -108,11 +108,6 @@ impl RunManifest {
         });
     }
 
-    /// Whether any recorded experiment had a failed job.
-    pub fn has_failures(&self) -> bool {
-        self.entries.iter().any(|e| !e.failures.is_empty())
-    }
-
     /// Attaches a per-phase timing breakdown to the recorded
     /// experiment `id`. Returns whether the entry existed.
     pub fn attach_phases(&mut self, id: &str, phases: PhaseTimings) -> bool {
@@ -135,11 +130,6 @@ impl RunManifest {
             }
             None => false,
         }
-    }
-
-    /// The recorded entries, in run order.
-    pub fn entries(&self) -> &[ManifestEntry] {
-        &self.entries
     }
 
     /// Renders the manifest as a JSON document.
@@ -310,7 +300,7 @@ mod tests {
             "{json}"
         );
         assert!(json.contains("\"id\": \"fig7\""), "{json}");
-        assert_eq!(m.entries().len(), 2);
+        assert_eq!(json.matches("\"id\": ").count(), 2, "{json}");
     }
 
     #[test]
@@ -383,7 +373,6 @@ mod tests {
             }],
         };
         assert!(m.attach_trace("fig3", summary.clone()));
-        assert_eq!(m.entries()[0].trace.as_ref(), Some(&summary));
         let json = m.to_json();
         assert!(
             json.contains(
@@ -405,7 +394,6 @@ mod tests {
             error: "boom \"quoted\"".to_string(),
         });
         m.record(&s);
-        assert!(m.has_failures());
         let json = m.to_json();
         assert!(
             json.contains(
@@ -413,8 +401,10 @@ mod tests {
             ),
             "{json}"
         );
-        let clean = RunManifest::new(2);
-        assert!(!clean.has_failures());
+        let mut clean = RunManifest::new(2);
+        clean.record(&stats("fig3", 8));
+        let json = clean.to_json();
+        assert!(!json.contains("failures"), "{json}");
     }
 
     #[test]

@@ -62,7 +62,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::from_env(&["verify", "shutdown", "scrape"])?;
+    let args = Args::from_env(&["verify", "shutdown", "scrape"]);
     match args.positional().first() {
         None => sweep(&args),
         Some(chaos) if chaos == "chaos" => Err(

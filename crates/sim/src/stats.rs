@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Counters for one disk's mechanical activity.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -27,13 +27,6 @@ pub struct DiskStats {
     pub busy_time: SimDuration,
     /// Maximum queue depth observed.
     pub max_queue_depth: usize,
-    /// Integral of queue depth over time (depth × nanoseconds), for
-    /// the time-weighted mean. Updated on every depth change.
-    pub queue_depth_area: u128,
-    /// Queue depth as of the last [`DiskStats::note_queue_depth`].
-    pub queue_depth: usize,
-    /// Time of the last depth change.
-    pub last_depth_change: SimTime,
 }
 
 impl DiskStats {
@@ -61,27 +54,9 @@ impl DiskStats {
         self.busy_time += timing.total();
     }
 
-    /// Notes the queue depth after a push **or a pop** at simulated
-    /// time `now`, tracking the maximum and accumulating the
-    /// depth-over-time integral for the time-weighted mean.
-    pub fn note_queue_depth(&mut self, depth: usize, now: SimTime) {
-        let elapsed = now.since(self.last_depth_change);
-        self.queue_depth_area += self.queue_depth as u128 * elapsed.as_nanos() as u128;
-        self.queue_depth = depth;
-        self.last_depth_change = now;
+    /// Notes the queue depth after a push, tracking the maximum.
+    pub fn note_queue_depth(&mut self, depth: usize) {
         self.max_queue_depth = self.max_queue_depth.max(depth);
-    }
-
-    /// Time-weighted mean queue depth over `elapsed` simulated time.
-    ///
-    /// Exact once the queue has drained (the final depth is 0, so the
-    /// tail past the last change contributes nothing); mid-run it
-    /// understates by at most `queue_depth × time-since-last-change`.
-    pub fn mean_queue_depth(&self, elapsed: SimDuration) -> f64 {
-        if elapsed == SimDuration::ZERO {
-            return 0.0;
-        }
-        self.queue_depth_area as f64 / elapsed.as_nanos() as f64
     }
 
     /// Disk utilization over `elapsed` wall-clock simulated time.
@@ -113,11 +88,6 @@ impl DiskStats {
         self.overhead_time += other.overhead_time;
         self.busy_time += other.busy_time;
         self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
-        // Summed areas make the array-wide mean the sum of per-disk
-        // means (total queued ops across the array at a given time).
-        self.queue_depth_area += other.queue_depth_area;
-        self.queue_depth += other.queue_depth;
-        self.last_depth_change = self.last_depth_change.max(other.last_depth_change);
     }
 }
 
@@ -181,31 +151,15 @@ mod tests {
     fn merge_combines() {
         let mut a = DiskStats::new();
         a.record_op(&timing(1), 1, 0, 0);
-        a.note_queue_depth(3, SimTime::from_nanos(10));
+        a.note_queue_depth(3);
         let mut b = DiskStats::new();
         b.record_op(&timing(2), 2, 1, 1);
-        b.note_queue_depth(7, SimTime::from_nanos(10));
-        b.note_queue_depth(0, SimTime::from_nanos(20));
+        b.note_queue_depth(7);
+        b.note_queue_depth(0);
         a.merge(&b);
         assert_eq!(a.media_ops, 2);
         assert_eq!(a.blocks_read, 3);
         assert_eq!(a.max_queue_depth, 7);
-        assert_eq!(a.queue_depth_area, 70);
-        assert_eq!(a.queue_depth, 3);
-    }
-
-    #[test]
-    fn mean_queue_depth_is_time_weighted() {
-        let mut s = DiskStats::new();
-        // Depth 2 for 100 ns, then 5 for 50 ns, then drained at 150 ns.
-        s.note_queue_depth(2, SimTime::ZERO);
-        s.note_queue_depth(5, SimTime::from_nanos(100));
-        s.note_queue_depth(0, SimTime::from_nanos(150));
-        assert_eq!(s.queue_depth_area, 2 * 100 + 5 * 50);
-        let mean = s.mean_queue_depth(SimDuration::from_nanos(150));
-        assert!((mean - 3.0).abs() < 1e-12, "{mean}");
-        assert_eq!(s.max_queue_depth, 5);
-        assert_eq!(DiskStats::new().mean_queue_depth(SimDuration::ZERO), 0.0);
     }
 
     #[test]

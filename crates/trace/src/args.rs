@@ -3,7 +3,8 @@
 //!
 //! Each accessor marks the flag it reads. A command reads every flag
 //! it knows, then calls [`Args::finish`], which rejects the rest: a
-//! misspelled `--hcd` is an error, not a silently ignored option.
+//! misspelled `--hcd` is an error, not a silently ignored option, even
+//! as the last word with no value after it.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -13,38 +14,38 @@ use std::str::FromStr;
 #[derive(Debug)]
 pub struct Args {
     positional: Vec<String>,
-    /// Value and whether an accessor has read it, by flag name.
-    flags: HashMap<String, (String, Cell<bool>)>,
+    /// Value (`None` for a last word with none) and whether an
+    /// accessor has read it, by flag name.
+    flags: HashMap<String, (Option<String>, Cell<bool>)>,
 }
 
 impl Args {
     /// Parses the process arguments after the program name.
-    pub fn from_env(switches: &[&str]) -> Result<Args, String> {
+    pub fn from_env(switches: &[&str]) -> Args {
         Args::parse(std::env::args().skip(1), switches)
     }
 
     /// Parses `args`. A flag named in `switches` takes no value (it
-    /// reads as `"1"`); every other flag takes the next argument.
-    pub fn parse(
-        args: impl IntoIterator<Item = String>,
-        switches: &[&str],
-    ) -> Result<Args, String> {
+    /// reads as `"1"`); every other flag takes the next argument. A
+    /// missing value is reported when the flag is read, or by
+    /// [`Args::finish`].
+    pub fn parse(args: impl IntoIterator<Item = String>, switches: &[&str]) -> Args {
         let mut positional = Vec::new();
         let mut flags = HashMap::new();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
                 let value = if switches.contains(&name) {
-                    String::from("1")
+                    Some(String::from("1"))
                 } else {
-                    it.next().ok_or_else(|| format!("--{name} needs a value"))?
+                    it.next()
                 };
                 flags.insert(name.to_string(), (value, Cell::new(false)));
             } else {
                 positional.push(a);
             }
         }
-        Ok(Args { positional, flags })
+        Args { positional, flags }
     }
 
     /// The words that are not flags or flag values, in order.
@@ -52,16 +53,26 @@ impl Args {
         &self.positional
     }
 
-    /// The value of `--name`, if given.
-    pub fn get(&self, name: &str) -> Option<&str> {
-        let (value, read) = self.flags.get(name)?;
+    /// The value of `--name`, if given; an error if it has none.
+    fn value(&self, name: &str) -> Result<Option<&str>, String> {
+        let Some((value, read)) = self.flags.get(name) else {
+            return Ok(None);
+        };
         read.set(true);
-        Some(value)
+        match value {
+            Some(v) => Ok(Some(v)),
+            None => Err(format!("--{name} needs a value")),
+        }
+    }
+
+    /// The value of `--name`, if given with one.
+    pub fn get(&self, name: &str) -> Option<&str> {
+        self.value(name).ok().flatten()
     }
 
     /// The value of `--name`, or an error naming it.
     pub fn required(&self, name: &str) -> Result<&str, String> {
-        self.get(name)
+        self.value(name)?
             .ok_or_else(|| format!("--{name} is required"))
     }
 
@@ -70,9 +81,27 @@ impl Args {
     where
         T::Err: std::fmt::Display,
     {
-        match self.get(name) {
+        match self.value(name)? {
             None => Ok(default),
             Some(v) => v.parse().map_err(|e| format!("--{name}: {e}")),
+        }
+    }
+
+    /// `--name` parsed as `T`, which must be above `T::default()`
+    /// (zero), or `default` when absent.
+    pub fn positive<T: FromStr + PartialOrd + Default>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let v = self.flag(name, default)?;
+        if v > T::default() || !self.flags.contains_key(name) {
+            Ok(v)
+        } else {
+            Err(format!("--{name} must be positive"))
         }
     }
 
@@ -81,7 +110,8 @@ impl Args {
         self.get(name).is_some()
     }
 
-    /// Fails on a flag no accessor has read (the first by name).
+    /// Fails on a flag no accessor has read, then on one given no
+    /// value (the first by name).
     pub fn finish(&self) -> Result<(), String> {
         let unread = self
             .flags
@@ -89,8 +119,17 @@ impl Args {
             .filter(|(_, (_, read))| !read.get())
             .map(|(name, _)| name)
             .min();
-        match unread {
-            Some(name) => Err(format!("unknown argument '--{name}'")),
+        if let Some(name) = unread {
+            return Err(format!("unknown argument '--{name}'"));
+        }
+        let valueless = self
+            .flags
+            .iter()
+            .filter(|(_, (value, _))| value.is_none())
+            .map(|(name, _)| name)
+            .min();
+        match valueless {
+            Some(name) => Err(format!("--{name} needs a value")),
             None => Ok(()),
         }
     }
@@ -100,25 +139,47 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(words: &[&str]) -> Result<Args, String> {
+    fn parse(words: &[&str]) -> Args {
         Args::parse(words.iter().map(|w| w.to_string()), &["verify"])
     }
 
     #[test]
     fn flags_switches_and_positionals() {
-        let a = parse(&["run", "--port", "7", "--verify", "x"]).unwrap();
+        let a = parse(&["run", "--port", "7", "--verify", "x"]);
         assert_eq!(a.positional(), ["run", "x"]);
         assert_eq!(a.flag("port", 0u16), Ok(7));
         assert_eq!(a.flag("threads", 2usize), Ok(2));
+        assert_eq!(a.positive("port", 1u16), Ok(7));
+        assert_eq!(a.positive("floor", 0.0), Ok(0.0));
+        assert!(parse(&["--x", "NaN"]).positive("x", 1.0).is_err());
+        assert_eq!(
+            parse(&["--jobs", "0"])
+                .positive("jobs", 1usize)
+                .unwrap_err(),
+            "--jobs must be positive"
+        );
+        assert!(parse(&["--jobs", "x"])
+            .positive("jobs", 1usize)
+            .unwrap_err()
+            .starts_with("--jobs: "));
         assert!(a.set("verify"));
         assert_eq!(a.finish(), Ok(()));
-        assert_eq!(parse(&["--port"]).unwrap_err(), "--port needs a value");
         assert!(a.required("dir").unwrap_err().contains("--dir is required"));
     }
 
     #[test]
+    fn a_last_flag_without_a_value_is_unknown_or_incomplete() {
+        let a = parse(&["--port"]);
+        assert_eq!(a.finish().unwrap_err(), "unknown argument '--port'");
+        assert_eq!(a.flag("port", 0u16).unwrap_err(), "--port needs a value");
+        assert_eq!(a.required("port").unwrap_err(), "--port needs a value");
+        assert_eq!(a.get("port"), None);
+        assert_eq!(a.finish().unwrap_err(), "--port needs a value");
+    }
+
+    #[test]
     fn finish_rejects_the_flags_nobody_read() {
-        let a = parse(&["--dir", "d", "--hcd", "256", "--bogus", "1"]).unwrap();
+        let a = parse(&["--dir", "d", "--hcd", "256", "--bogus", "1"]);
         assert_eq!(a.required("dir"), Ok("d"));
         assert_eq!(a.finish().unwrap_err(), "unknown argument '--bogus'");
         assert_eq!(a.get("bogus"), Some("1"));

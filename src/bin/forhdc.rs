@@ -43,7 +43,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::from_env(&[])?;
+    let args = Args::from_env(&[]);
     match args.positional().first().map(String::as_str) {
         Some("generate") => generate(&args),
         Some("simulate") => simulate(&args),
