@@ -2,9 +2,9 @@
 //! the simulator's per-layer primitives), the file-server layout's
 //! set-up passes (ns per logical block), server-clone generation (ns
 //! per disk request), HDC planning, plus end-to-end `fig3`- and
-//! `fig5`-point simulations and the benchmark's sim-web run, timed
-//! with plain wall clocks and emitted as machine-readable JSON
-//! (`BENCH_*.json`).
+//! `fig5`-point simulations and the benchmark's sim-web and sim-file
+//! runs, timed with plain wall clocks and emitted as machine-readable
+//! JSON (`BENCH_*.json`).
 //!
 //! ```text
 //! perf [--fast] [--json PATH]
@@ -186,6 +186,28 @@ fn bench_hdc(h: &mut Harness) {
     });
 }
 
+fn bench_hdc_read_probe(h: &mut Harness) {
+    // The controller's per-block HDC check on the read path: 512
+    // blocks pinned across the disk, and reads of which nine in ten
+    // find nothing pinned.
+    h.bench("hdc/read_probe", 2_000_000, |n| {
+        let mut hdc = HdcRegion::new(512);
+        for i in 0..512u64 {
+            hdc.pin(PhysBlock::new(i * 8_191)).unwrap();
+        }
+        let mut hits = 0u64;
+        for i in 0..n {
+            let block = if i % 10 == 0 {
+                i / 10 % 512 * 8_191
+            } else {
+                i * 7_919 % (1 << 22) + 1
+            };
+            hits += hdc.read(PhysBlock::new(block)) as u64;
+        }
+        hits
+    });
+}
+
 fn bench_mechanics(h: &mut Harness) {
     // One 4-block read at a pseudo-random position: seek, rotation and
     // transfer of the default disk.
@@ -338,18 +360,15 @@ fn bench_e2e(h: &mut Harness, name: &'static str, experiment: &str, row: usize) 
     bench_system(h, name, &wl, SystemConfig::for_);
 }
 
-fn bench_e2e_sim_web(h: &mut Harness) {
-    // The benchmark's sim-web run: the Web clone at scale 4 (seed 42)
-    // under FOR with a 2-MByte HDC on a 16-KByte unit. Only
-    // `System::run` is timed; planning and assembly stay outside.
-    let wl = ServerWorkloadSpec::web()
-        .scale(4.0)
-        .with_seed(42)
-        .generate()
-        .workload;
+/// Times the benchmark's sim workload run: the clone `spec` (seed 42)
+/// under FOR with a 2-MByte HDC on a `unit`-byte striping unit, per
+/// request. Only `System::run` is timed; planning and assembly stay
+/// outside.
+fn bench_e2e_sim(h: &mut Harness, name: &'static str, spec: ServerWorkloadSpec, unit: u32) {
+    let wl = spec.with_seed(42).generate().workload;
     let cfg = SystemConfig::for_()
         .with_hdc(2 << 20)
-        .with_striping_unit(16 << 10);
+        .with_striping_unit(unit);
     let striping = StripingMap::new(cfg.array.virtual_disks(), cfg.array.striping_unit_blocks());
     let plan = plan_top_misses(&wl.trace, &striping, cfg.hdc_blocks());
     let requests = wl.trace.len() as u64;
@@ -361,7 +380,6 @@ fn bench_e2e_sim_web(h: &mut Harness) {
         std::hint::black_box(sys.run());
         best = best.min(t.elapsed().as_nanos() as f64 / requests as f64);
     }
-    let name = "e2e/sim_web_run";
     outln!("{name:<40} {best:>12.1} ns/req  ({requests} reqs)");
     h.results.push(BenchResult {
         name,
@@ -561,6 +579,7 @@ fn bench_main(args: &Args) -> Result<ExitCode, String> {
     bench_buffer_cache(&mut h);
     bench_segment_cache(&mut h);
     bench_hdc(&mut h);
+    bench_hdc_read_probe(&mut h);
     bench_mechanics(&mut h);
     bench_scheduler(&mut h);
     bench_striping(&mut h);
@@ -570,7 +589,18 @@ fn bench_main(args: &Args) -> Result<ExitCode, String> {
     bench_planner(&mut h);
     bench_e2e(&mut h, "e2e/fig3_point_for", "fig3", 5); // row 5 = 16-KByte files
     bench_e2e(&mut h, "e2e/fig5_point_for", "fig5", 2); // row 2 = alpha 0.4
-    bench_e2e_sim_web(&mut h);
+    bench_e2e_sim(
+        &mut h,
+        "e2e/sim_web_run",
+        ServerWorkloadSpec::web().scale(4.0),
+        16 << 10,
+    );
+    bench_e2e_sim(
+        &mut h,
+        "e2e/sim_file_run",
+        ServerWorkloadSpec::file_server().scale(2.0),
+        128 << 10,
+    );
 
     if let Some(path) = json_path {
         if let Err(e) = std::fs::write(&path, to_json(&h.results, fast)) {

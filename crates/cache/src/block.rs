@@ -25,8 +25,8 @@
 
 use forhdc_sim::PhysBlock;
 
-use crate::fx::{fx_map_with_capacity, FxHashMap};
 use crate::list::{List, Slab};
+use crate::probe::ProbeMap;
 use crate::stats::CacheStats;
 use crate::ControllerCache;
 
@@ -193,7 +193,7 @@ pub struct BlockCache {
     /// is the first set bit at or after it.
     tops: Bits,
     /// Run top block → run node.
-    by_top: FxHashMap<u64, u32>,
+    by_top: ProbeMap<u32>,
     nodes: Slab<Run>,
     /// The recency lists, indexed by a run's `used` flag:
     /// `lists[USED]` holds runs the host has demanded, head = most
@@ -221,7 +221,7 @@ impl BlockCache {
             tops: Bits::default(),
             // Runs never outnumber resident blocks, except for the one
             // an insertion links before it evicts.
-            by_top: fx_map_with_capacity(capacity as usize + 1),
+            by_top: ProbeMap::new(capacity as usize + 1),
             nodes: Slab::with_capacity(capacity as usize + 1),
             lists: [List::new(); 2],
             resident: 0,
@@ -280,7 +280,9 @@ impl BlockCache {
     /// The run holding resident block `block`.
     #[inline]
     fn run_of(&self, block: u64) -> u32 {
-        self.by_top[&self.tops.next_set(block, u64::MAX)]
+        self.by_top
+            .get(self.tops.next_set(block, u64::MAX))
+            .expect("a resident block's run top is indexed")
     }
 
     fn index(&mut self, top: u64, idx: u32) {
@@ -290,7 +292,7 @@ impl BlockCache {
 
     fn unindex(&mut self, top: u64) {
         self.tops.clear(top);
-        self.by_top.remove(&top);
+        self.by_top.remove(top);
     }
 
     /// Moves offsets `lo..hi` of run `idx`, restamped from `stamp`, to
@@ -522,11 +524,11 @@ impl BlockCache {
                 if run.end() > FILTER_LIMIT {
                     return Err(format!("run at block {} passes the block limit", run.start));
                 }
-                if self.by_top.get(&run.top()) != Some(&idx) || !self.tops.get(run.top()) {
+                if self.by_top.get(run.top()) != Some(idx) || !self.tops.get(run.top()) {
                     return Err(format!(
                         "run topped at block {} is indexed as {:?}, not node {idx}",
                         run.top(),
-                        self.by_top.get(&run.top())
+                        self.by_top.get(run.top())
                     ));
                 }
                 if let Some(b) = (run.start..run.end()).find(|&b| !self.present.get(b)) {

@@ -1,15 +1,17 @@
-//! A fast, non-cryptographic hasher for the hot-path maps.
+//! A fast, non-cryptographic hasher for maps keyed by dense integers.
 //!
-//! The caches key their maps by dense integer ids (block numbers), for
-//! which SipHash's HashDoS resistance buys nothing and costs a large
-//! slice of every lookup. This is the Fx algorithm (rustc's internal
-//! hasher: rotate, xor, multiply per word) — a handful of cycles per
-//! `u64` key. Only use it for keys an adversary cannot choose.
+//! SipHash's HashDoS resistance buys nothing for keys the program
+//! makes itself (block numbers, disk ids) and costs a large slice of
+//! every lookup. This is the Fx algorithm (rustc's internal hasher:
+//! rotate, xor, multiply per word) — a handful of cycles per `u64`
+//! key. Only use it for keys an adversary cannot choose.
 //!
-//! Determinism note: none of the hot-path structures iterate these
-//! maps in hash order (results are always re-sorted or reached through
-//! keyed lookups), so swapping the hasher cannot change any observable
-//! output — see DESIGN.md §6.2.
+//! The controller caches no longer use it: their maps and the
+//! simulator's pending-request map have a known bound and are
+//! [`crate::ProbeMap`]s. What remains is off the simulator's request
+//! path: the host `BufferCache` and the cooperative-HDC overflow map.
+//! Neither is iterated in hash order, so swapping the hasher cannot
+//! change any observable output — see DESIGN.md §6.2.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -12,7 +12,7 @@ use std::fmt;
 
 use forhdc_sim::PhysBlock;
 
-use crate::fx::{fx_map_with_capacity, FxHashMap};
+use crate::probe::{fib_hash, ProbeMap};
 
 /// Counters for the HDC region.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -109,7 +109,16 @@ impl std::error::Error for PinError {}
 /// ```
 #[derive(Debug)]
 pub struct HdcRegion {
-    pinned: FxHashMap<PhysBlock, bool>, // value = dirty
+    pinned: ProbeMap<bool>, // value = dirty
+    /// One bit per hash of a block ever pinned since the last rebuild:
+    /// a clear bit proves the block is not pinned, so most misses skip
+    /// the map. Sized at 32 bits per pinnable block, a power of two.
+    filter: Box<[u64]>,
+    /// 64 − log2 of the filter's bit count.
+    filter_shift: u32,
+    /// Unpins since the last rebuild: an upper bound on the bits set
+    /// for no pinned block.
+    stale: u32,
     /// Blocks appended as their dirty bit turns on, so a flush visits
     /// only dirty candidates instead of sweeping every pinned block.
     /// May hold stale entries (a block unpinned, or unpinned and
@@ -133,8 +142,12 @@ impl HdcRegion {
     /// Creates an empty region able to pin `capacity` blocks.
     /// A zero capacity creates a permanently empty region (HDC off).
     pub fn new(capacity: u32) -> Self {
+        let bits = (capacity as usize * 32).max(64).next_power_of_two();
         HdcRegion {
-            pinned: fx_map_with_capacity(capacity as usize),
+            pinned: ProbeMap::new(capacity as usize),
+            filter: vec![0; bits / 64].into_boxed_slice(),
+            filter_shift: 64 - bits.trailing_zeros(),
+            stale: 0,
             dirty_list: Vec::new(),
             dirty: 0,
             capacity,
@@ -154,7 +167,7 @@ impl HdcRegion {
     ///
     /// Returns [`PinError`] if the region is at capacity.
     pub fn pin(&mut self, block: PhysBlock) -> Result<(), PinError> {
-        if self.pinned.contains_key(&block) {
+        if self.contains(block) {
             return Ok(());
         }
         if self.pinned.len() as u32 >= self.capacity {
@@ -162,18 +175,41 @@ impl HdcRegion {
                 capacity: self.capacity,
             });
         }
-        self.pinned.insert(block, false);
+        self.pinned.insert(block.index(), false);
+        let (w, m) = self.bit(block.index());
+        self.filter[w] |= m;
         self.stats.pins += 1;
         Ok(())
+    }
+
+    /// The filter word and bit of `key`.
+    #[inline]
+    fn bit(&self, key: u64) -> (usize, u64) {
+        let h = fib_hash(key, self.filter_shift);
+        (h / 64, 1 << (h % 64))
+    }
+
+    /// Whether `block` may be pinned: false proves it is not.
+    #[inline]
+    fn may_hold(&self, block: PhysBlock) -> bool {
+        let (w, m) = self.bit(block.index());
+        self.filter[w] & m != 0
     }
 
     /// Unpins `block` (the `unpin_blk()` command). Returns the dirty
     /// bit if the block was pinned — a dirty unpinned block must be
     /// written back by the caller.
     pub fn unpin(&mut self, block: PhysBlock) -> Option<bool> {
-        let dirty = self.pinned.remove(&block);
+        let dirty = self.pinned.remove(block.index());
         if dirty.is_some() {
             self.stats.unpins += 1;
+            // The block's bit stays set: a stale bit costs one probe.
+            // Rebuilding once stale bits outnumber the capacity keeps
+            // the rebuild amortised O(1) per unpin.
+            self.stale += 1;
+            if self.stale > self.capacity {
+                self.rebuild_filter();
+            }
         }
         if dirty == Some(true) {
             // The block's `dirty_list` entry goes stale; the flush
@@ -184,14 +220,25 @@ impl HdcRegion {
         dirty
     }
 
+    /// Clears the filter and sets the bits of the pinned blocks only.
+    fn rebuild_filter(&mut self) {
+        self.filter.fill(0);
+        for (key, _) in self.pinned.iter() {
+            let (w, m) = self.bit(key);
+            self.filter[w] |= m;
+        }
+        self.stale = 0;
+    }
+
     /// Whether `block` is pinned (no stats update).
+    #[inline]
     pub fn contains(&self, block: PhysBlock) -> bool {
-        self.pinned.contains_key(&block)
+        self.may_hold(block) && self.pinned.contains_key(block.index())
     }
 
     /// Read lookup: returns `true` (and counts a hit) when pinned.
     pub fn read(&mut self, block: PhysBlock) -> bool {
-        if self.pinned.contains_key(&block) {
+        if self.contains(block) {
             self.stats.read_hits += 1;
             true
         } else {
@@ -213,7 +260,12 @@ impl HdcRegion {
     /// dirty) and returns `true`; the media is not touched until
     /// [`HdcRegion::flush`].
     pub fn write(&mut self, block: PhysBlock) -> bool {
-        if let Some(dirty) = self.pinned.get_mut(&block) {
+        let entry = if self.may_hold(block) {
+            self.pinned.get_mut(block.index())
+        } else {
+            None
+        };
+        if let Some(dirty) = entry {
             if !*dirty {
                 *dirty = true;
                 self.dirty += 1;
@@ -243,7 +295,7 @@ impl HdcRegion {
     pub fn flush_into(&mut self, out: &mut Vec<PhysBlock>) {
         out.clear();
         for b in self.dirty_list.drain(..) {
-            if let Some(d) = self.pinned.get_mut(&b) {
+            if let Some(d) = self.pinned.get_mut(b.index()) {
                 // Clearing the bit as we go also drops duplicate list
                 // entries from unpin/re-pin/re-dirty cycles.
                 if *d {
@@ -266,7 +318,7 @@ impl HdcRegion {
         self.stats.flushed = self.stats.flushed.saturating_sub(blocks.len() as u64);
         let mut lost = 0;
         for &b in blocks {
-            match self.pinned.get_mut(&b) {
+            match self.pinned.get_mut(b.index()) {
                 Some(dirty) => {
                     if !*dirty {
                         *dirty = true;
@@ -295,7 +347,7 @@ impl HdcRegion {
     pub fn discard_dirty(&mut self) -> u64 {
         let mut lost = 0;
         for b in self.dirty_list.drain(..) {
-            if let Some(d) = self.pinned.get_mut(&b) {
+            if let Some(d) = self.pinned.get_mut(b.index()) {
                 if *d {
                     *d = false;
                     lost += 1;
@@ -308,7 +360,8 @@ impl HdcRegion {
 
     /// Deep structural validation for checked mode (DESIGN.md §6.5):
     /// occupancy ≤ capacity, the O(1) dirty counter matching the live
-    /// dirty bits, every dirty pinned block reachable through
+    /// dirty bits, every pinned block's filter bit set (so a lookup
+    /// cannot miss it), every dirty pinned block reachable through
     /// `dirty_list` (so a flush cannot strand one), and the local
     /// conservation bound `dirtied ≥ flushed + dirty-unpins + dirty`
     /// (the remainder is lost writes, tallied by the caller under
@@ -322,14 +375,18 @@ impl HdcRegion {
                 self.capacity
             ));
         }
-        let live_dirty = self.pinned.values().filter(|&&d| d).count() as u32;
+        let live_dirty = self.pinned.iter().filter(|&(_, d)| d).count() as u32;
         if live_dirty != self.dirty {
             return Err(format!(
                 "dirty counter {} but {live_dirty} dirty bits set",
                 self.dirty
             ));
         }
-        for (&block, &dirty) in &self.pinned {
+        for (key, dirty) in self.pinned.iter() {
+            let block = PhysBlock::new(key);
+            if !self.may_hold(block) {
+                return Err(format!("pinned block {block} missing from the filter"));
+            }
             if dirty && !self.dirty_list.contains(&block) {
                 return Err(format!("dirty block {block} missing from the flush list"));
             }

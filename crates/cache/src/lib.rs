@@ -14,6 +14,8 @@
 //! * [`HdcRegion`] — the host-guided portion of the controller cache:
 //!   pinned, non-replaceable blocks with dirty tracking and the
 //!   `pin_blk()` / `unpin_blk()` / `flush_hdc()` command set of §5.
+//! * [`ProbeMap`] — the fixed-size map from `u64` the block cache, the
+//!   HDC region and the system simulation's pending requests use.
 //!
 //! Both read-ahead caches implement the common [`ControllerCache`]
 //! trait so the system simulation can swap organizations freely.
@@ -22,11 +24,13 @@ pub mod block;
 pub mod fx;
 pub mod hdc;
 pub mod list;
+pub mod probe;
 pub mod segment;
 pub mod stats;
 
 pub use block::{BlockCache, BlockReplacement};
 pub use hdc::{HdcRegion, HdcStats, PinError};
+pub use probe::ProbeMap;
 pub use segment::{SegmentCache, SegmentReplacement};
 pub use stats::CacheStats;
 

@@ -3,14 +3,16 @@
 //! consistency; the HDC region tracks a reference model exactly; and
 //! the list/index-based [`BlockCache`] and [`SegmentCache`] are
 //! differentially checked, op by op, against executable specifications
-//! that keep the original `BTreeSet`-stamp and linear-scan bookkeeping.
+//! that keep the original `BTreeSet`-stamp and linear-scan bookkeeping;
+//! and [`ProbeMap`] and the HDC membership filter answer exactly as
+//! `std` collections do.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use proptest::prelude::*;
 
 use forhdc_cache::{
-    BlockCache, BlockReplacement, CacheStats, ControllerCache, HdcRegion, SegmentCache,
+    BlockCache, BlockReplacement, CacheStats, ControllerCache, HdcRegion, ProbeMap, SegmentCache,
     SegmentReplacement,
 };
 use forhdc_sim::PhysBlock;
@@ -561,6 +563,57 @@ fn lru_eviction_alternates_between_the_tails() {
     assert_eq!(c.stats().evictions, 20);
 }
 
+/// Keys for a [`ProbeMap`] of `bound`: eight that share the last slot
+/// as their home, so their probe runs wrap past the table's end, eight
+/// that share slot 0, and eight spread ones.
+fn probe_keys(bound: usize) -> Vec<u64> {
+    let m = ProbeMap::<u32>::new(bound);
+    let last = m.slots() - 1;
+    let mut keys: Vec<u64> = (0..).filter(|&k| m.home(k) == last).take(8).collect();
+    keys.extend((0..).filter(|&k| m.home(k) == 0).take(8));
+    keys.extend((0..8u64).map(|k| k * 1_000_003 + 17));
+    keys
+}
+
+#[test]
+#[should_panic(expected = "probe map holds 3 keys")]
+fn probe_map_insert_past_its_bound_panics() {
+    let mut m = ProbeMap::new(3);
+    for k in 0..3 {
+        m.insert(k, ());
+    }
+    // Replacing a present key is not an insert past the bound.
+    assert_eq!(m.insert(1, ()), Some(()));
+    m.insert(3, ());
+}
+
+/// Pin/unpin churn of a full region: every unpin leaves a stale
+/// filter bit, so the filter is rebuilt every `capacity + 1` unpins;
+/// across several rebuilds no pinned block is ever missed.
+#[test]
+fn hdc_filter_survives_rebuilds() {
+    let capacity = 8u64;
+    let mut hdc = HdcRegion::new(capacity as u32);
+    for round in 0..6 {
+        let live = round * capacity..(round + 1) * capacity;
+        for b in live.clone() {
+            hdc.pin(PhysBlock::new(b)).unwrap();
+        }
+        for b in 0..(round + 2) * capacity {
+            assert_eq!(
+                hdc.contains(PhysBlock::new(b)),
+                live.contains(&b),
+                "block {b}"
+            );
+        }
+        hdc.check_coherence().unwrap();
+        for b in live {
+            assert_eq!(hdc.unpin(PhysBlock::new(b)), Some(false));
+        }
+    }
+    assert_eq!(hdc.stats().unpins, 6 * capacity);
+}
+
 fn check_invariants(cache: &dyn ControllerCache) {
     assert!(cache.resident_blocks() <= cache.capacity_blocks());
     let s = cache.stats();
@@ -777,6 +830,92 @@ proptest! {
                 hdc.dirty_count() as usize,
                 model.values().filter(|&&d| d).count()
             );
+        }
+    }
+
+    /// `ProbeMap` answers every insert, get, `get_mut`, remove and
+    /// iteration as `HashMap` does, over keys that collide on one home
+    /// slot and runs that wrap past the table's end, so removals shift
+    /// chains back across the wrap.
+    #[test]
+    fn probe_map_matches_hashmap(
+        ops in prop::collection::vec((0u8..4, 0usize..24, 0u32..1_000), 1..400),
+        bound in 1usize..24,
+    ) {
+        let keys = probe_keys(bound);
+        let mut real = ProbeMap::new(bound);
+        let mut model: HashMap<u64, u32> = HashMap::new();
+        for (kind, k, v) in ops {
+            let key = keys[k];
+            match kind {
+                0 => {
+                    if model.len() < bound || model.contains_key(&key) {
+                        prop_assert_eq!(real.insert(key, v), model.insert(key, v));
+                    }
+                }
+                1 => prop_assert_eq!(real.remove(key), model.remove(&key)),
+                2 => {
+                    let got = real.get_mut(key).map(|x| {
+                        *x = x.wrapping_add(v);
+                        *x
+                    });
+                    let want = model.get_mut(&key).map(|x| {
+                        *x = x.wrapping_add(v);
+                        *x
+                    });
+                    prop_assert_eq!(got, want);
+                }
+                _ => {
+                    prop_assert_eq!(real.get(key), model.get(&key).copied());
+                    prop_assert_eq!(real.contains_key(key), model.contains_key(&key));
+                }
+            }
+            prop_assert_eq!(real.len(), model.len());
+            for &key in &keys {
+                prop_assert_eq!(real.get(key), model.get(&key).copied());
+            }
+        }
+        let mut got: Vec<(u64, u32)> = real.iter().collect();
+        let mut want: Vec<(u64, u32)> = model.into_iter().collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        prop_assert_eq!(got, want);
+    }
+
+    /// Pin/unpin churn through many filter rebuilds: `contains`,
+    /// `read` and `write` always equal a `HashSet` of the pinned
+    /// blocks (the filter never hides one), and the validator, which
+    /// checks every pinned block's filter bit, holds throughout. The
+    /// blocks are scattered, so some share a filter bit.
+    #[test]
+    fn hdc_filter_has_no_false_negatives(
+        ops in prop::collection::vec((0u8..5, 0usize..48), 1..600),
+        capacity in 1u32..12,
+    ) {
+        let blocks: Vec<u64> = (0..48u64).map(|i| i * i * 7_919 + i * 104_729).collect();
+        let mut hdc = HdcRegion::new(capacity);
+        let mut pinned: HashSet<u64> = HashSet::new();
+        for (step, (kind, i)) in ops.into_iter().enumerate() {
+            let block = blocks[i];
+            let b = PhysBlock::new(block);
+            match kind {
+                0 | 1 => {
+                    if hdc.pin(b).is_ok() {
+                        pinned.insert(block);
+                    }
+                }
+                2 => {
+                    prop_assert_eq!(hdc.unpin(b).is_some(), pinned.remove(&block));
+                }
+                3 => prop_assert_eq!(hdc.read(b), pinned.contains(&block)),
+                _ => prop_assert_eq!(hdc.write(b), pinned.contains(&block)),
+            }
+            for &x in &blocks {
+                prop_assert_eq!(hdc.contains(PhysBlock::new(x)), pinned.contains(&x));
+            }
+            if let Err(e) = hdc.check_coherence() {
+                prop_assert!(false, "hdc, step {}: {}", step, e);
+            }
         }
     }
 }

@@ -11,8 +11,8 @@
 
 use std::collections::HashMap;
 
-use forhdc_cache::fx::{fx_map_with_capacity, FxHashMap};
-use forhdc_cache::{BlockReplacement, SegmentReplacement};
+use forhdc_cache::fx::FxHashMap;
+use forhdc_cache::{BlockReplacement, ProbeMap, SegmentReplacement};
 use forhdc_check::{Auditor, FinalDigest, FullAudit, NoChecks};
 use forhdc_fault::{FaultModel, FaultStats, NoFaults, RetryPolicy};
 use forhdc_host::StreamDriver;
@@ -353,7 +353,7 @@ impl std::fmt::Debug for DiskState {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct PendingReq {
     stream: StreamId,
     /// Sub-completions not yet placed: one per extent, or per member
@@ -425,7 +425,7 @@ pub struct System<T: Tracer = NullTracer, F: FaultModel = NoFaults, A: Auditor =
     bus: BusModel,
     queue: EventQueue<Event>,
     driver: StreamDriver,
-    pending: FxHashMap<u64, PendingReq>,
+    pending: ProbeMap<PendingReq>,
     next_req: u64,
     workload_name: String,
     payload_bytes: u64,
@@ -751,8 +751,8 @@ impl<'w, T: Tracer, F: FaultModel, A: Auditor> SystemBuilder<'w, T, F, A> {
             queue: EventQueue::new(),
             driver,
             // Closed-loop replay: at most one outstanding request per
-            // stream, so the steady state never rehashes.
-            pending: fx_map_with_capacity(workload.streams as usize),
+            // stream. A timed-out request leaves the map at once.
+            pending: ProbeMap::new(workload.streams as usize),
             next_req: 0,
             workload_name: workload.name.clone(),
             payload_bytes,
@@ -1467,7 +1467,7 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
     /// completes now, as an error; its in-flight sub-operations finish
     /// on their own and their completions are dropped by `sub_done`.
     fn timeout(&mut self, id: u64, now: SimTime) {
-        let Some(mut p) = self.pending.remove(&id) else {
+        let Some(mut p) = self.pending.remove(id) else {
             return;
         };
         self.fstats.timeouts += 1;
@@ -1541,7 +1541,7 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
     /// already timed out has left `pending`, and its late legs are
     /// dropped here.
     fn place(&mut self, id: u64, end: SimTime, failed: bool) {
-        let Some(p) = self.pending.get_mut(&id) else {
+        let Some(p) = self.pending.get_mut(id) else {
             return;
         };
         p.failed |= failed;
@@ -1612,7 +1612,7 @@ impl<T: Tracer, F: FaultModel, A: Auditor> System<T, F, A> {
     }
 
     fn sub_done(&mut self, id: u64, now: SimTime) {
-        let Some(p) = self.pending.remove(&id) else {
+        let Some(p) = self.pending.remove(id) else {
             // Only a fault path can orphan a completion: a request that
             // timed out already completed (as an error) after its last
             // leg was placed.

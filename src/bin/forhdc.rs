@@ -19,8 +19,8 @@
 //! ```
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
-use std::path::PathBuf;
+use std::io::{BufReader, BufWriter, Write};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use forhdc::core::{System, SystemConfig};
@@ -92,19 +92,11 @@ fn generate(args: &Args) -> Result<(), String> {
         "synthetic" => SyntheticWorkload::builder().requests(requests).build(),
         other => return Err(format!("unknown workload kind '{other}'")),
     };
-    std::fs::create_dir_all(&out).map_err(|e| e.to_string())?;
+    std::fs::create_dir_all(&out).map_err(|e| format!("create {}: {e}", out.display()))?;
     let trace_path = out.join("trace.txt");
     let layout_path = out.join("layout.txt");
-    write_trace(
-        &workload.trace,
-        BufWriter::new(File::create(&trace_path).map_err(|e| e.to_string())?),
-    )
-    .map_err(|e| e.to_string())?;
-    write_layout(
-        &workload.layout,
-        BufWriter::new(File::create(&layout_path).map_err(|e| e.to_string())?),
-    )
-    .map_err(|e| e.to_string())?;
+    write_file(&trace_path, |w| write_trace(&workload.trace, w))?;
+    write_file(&layout_path, |w| write_layout(&workload.layout, w))?;
     outln!("{}", summarize(&workload.trace, 4096));
     outln!(
         "wrote {} and {}",
@@ -113,6 +105,28 @@ fn generate(args: &Args) -> Result<(), String> {
     );
     outln!("suggested streams: {}", workload.streams);
     Ok(())
+}
+
+/// Parses the file at `path` with `read`, naming the file in any error.
+fn read_file<T, E: std::fmt::Display>(
+    path: &str,
+    read: impl FnOnce(BufReader<File>) -> Result<T, E>,
+) -> Result<T, String> {
+    let f = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+    read(BufReader::new(f)).map_err(|e| format!("read {path}: {e}"))
+}
+
+/// Creates the file at `path` and fills it with `write`, naming the
+/// file in any error, the final flush's included.
+fn write_file(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let f = File::create(path).map_err(|e| format!("create {}: {e}", path.display()))?;
+    let mut w = BufWriter::new(f);
+    write(&mut w)
+        .and_then(|()| w.flush())
+        .map_err(|e| format!("write {}: {e}", path.display()))
 }
 
 fn simulate(args: &Args) -> Result<(), String> {
@@ -142,14 +156,8 @@ fn simulate(args: &Args) -> Result<(), String> {
         cfg = cfg.with_hdc_flush_period(SimDuration::from_secs(secs));
     }
     args.finish()?;
-    let trace = read_trace(BufReader::new(
-        File::open(trace_path).map_err(|e| e.to_string())?,
-    ))
-    .map_err(|e| e.to_string())?;
-    let layout = read_layout(BufReader::new(
-        File::open(layout_path).map_err(|e| e.to_string())?,
-    ))
-    .map_err(|e| e.to_string())?;
+    let trace = read_file(trace_path, read_trace)?;
+    let layout = read_file(layout_path, read_layout)?;
     let workload = Workload {
         name: "imported".into(),
         layout,
@@ -164,10 +172,7 @@ fn simulate(args: &Args) -> Result<(), String> {
 fn inspect(args: &Args) -> Result<(), String> {
     let trace_path = args.required("trace")?;
     args.finish()?;
-    let trace = read_trace(BufReader::new(
-        File::open(trace_path).map_err(|e| e.to_string())?,
-    ))
-    .map_err(|e| e.to_string())?;
+    let trace = read_file(trace_path, read_trace)?;
     outln!("{}", summarize(&trace, 4096));
     outln!("jobs: {}", trace.job_count());
     let head = trace.popularity_curve(10);

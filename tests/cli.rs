@@ -106,3 +106,20 @@ fn forhdc_bad_arguments_exit_2() {
     }
     assert!(!dir.exists(), "generate wrote {d} despite a bad flag");
 }
+
+#[test]
+fn forhdc_names_the_file_it_could_not_read() {
+    let (trace, layout) = ("/nonexistent/t", "/nonexistent/l");
+    for args in [
+        vec!["simulate", "--trace", trace, "--layout", layout],
+        vec!["inspect", "--trace", trace],
+    ] {
+        let out = forhdc(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains(&format!("error: open {trace}: ")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
